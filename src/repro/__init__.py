@@ -14,9 +14,9 @@ Recommender System" (ICDE 2024).  The package is organised bottom-up:
   (FCF, FedMF, MetaMF) with byte-level communication accounting,
 * :mod:`repro.core` — PTF-FedRec itself: clients, server, the
   prediction-exchange protocol, privacy defenses and the Top Guess Attack,
-* :mod:`repro.engine` — the client-simulation execution engine: serial,
-  batched (vectorized) and multiprocess schedulers for the per-round
-  client work, all bit-identical on a fixed seed,
+* :mod:`repro.engine` — the client-simulation execution engine: serial
+  and batched (vectorized) schedulers for the per-round client work,
+  bit-identical on a fixed seed,
 * :mod:`repro.experiments` — the unified experiment API: a sectioned
   :class:`ExperimentSpec`, a trainer registry covering every paradigm
   (``"ptf"``, ``"fcf"``, ``"fedmf"``, ``"metamf"``, ``"centralized"``),

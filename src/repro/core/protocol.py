@@ -32,8 +32,8 @@ class RoundSummary:
     """Bookkeeping for one global round.
 
     ``participation`` is only populated on rounds where dynamic federation
-    was in play (a scenario is configured, or a worker failure dropped a
-    client); plain rounds keep it ``None`` and their log schema unchanged.
+    was in play (a scenario is configured); plain rounds keep it ``None``
+    and their log schema unchanged.
     """
 
     round_index: int
@@ -154,10 +154,8 @@ class PTFFedRec:
         selected = self._select_clients(round_index)
 
         losses = self.engine.train_ptf_clients(self.clients, selected, round_index)
-        failed = set(self.engine.pop_failed())
-        active = [user for user in selected if user not in failed]
-        client_losses: List[float] = [losses[user] for user in active]
-        uploads = self.engine.build_ptf_uploads(self.clients, active, round_index)
+        client_losses: List[float] = [losses[user] for user in selected]
+        uploads = self.engine.build_ptf_uploads(self.clients, selected, round_index)
         for upload in uploads:
             self.ledger.record(
                 round_index,
@@ -196,13 +194,6 @@ class PTFFedRec:
             server_loss=server_loss,
             uploaded_records=sum(upload.num_records for upload in uploads),
             dispersed_records=dispersed_total,
-            # Worker failures outside any scenario still surface as drops
-            # (healthy rounds keep participation=None and their log schema).
-            participation=RoundParticipation(
-                selected=len(selected),
-                completed=len(active),
-                dropped=len(failed),
-            ) if failed else None,
         )
         self.round_summaries.append(summary)
         self.last_round_uploads = uploads
@@ -229,13 +220,10 @@ class PTFFedRec:
         losses = self.engine.train_ptf_clients(
             self.clients, list(plan.trained), round_index
         )
-        failed = set(self.engine.pop_failed())
-        on_time = [user for user in plan.on_time if user not in failed]
-        client_losses = [losses[user] for user in plan.trained if user not in failed]
+        client_losses = [losses[user] for user in plan.trained]
 
-        uploads = self.engine.build_ptf_uploads(self.clients, on_time, round_index)
-        stale_users = [user for user in plan.selected
-                       if user in plan.stale and user not in failed]
+        uploads = self.engine.build_ptf_uploads(self.clients, plan.on_time, round_index)
+        stale_users = [user for user in plan.selected if user in plan.stale]
         stale_uploads = self.engine.build_ptf_uploads(
             self.clients, stale_users, round_index
         )
@@ -296,8 +284,8 @@ class PTFFedRec:
             dispersed_records=dispersed_total,
             participation=RoundParticipation(
                 selected=len(plan.selected),
-                completed=len(on_time),
-                dropped=len(plan.dropped) + len(plan.lost) + len(failed),
+                completed=len(plan.on_time),
+                dropped=len(plan.dropped) + len(plan.lost),
                 straggled=len(plan.stale) + len(plan.lost),
                 stale_applied=len(applied_uploads),
             ),

@@ -12,7 +12,6 @@ executed:
 * :class:`BatchedScheduler` — stacks the cohort into ``(clients, ...)``
   arrays so local training runs as vectorized tensor ops
   (:class:`ClientBatch`);
-* :class:`MultiprocessScheduler` — fans clients out to worker processes;
 * :func:`create_scheduler` — builds the scheduler a spec names.
 
 All schedulers are **bit-identical** on a fixed seed: randomness is keyed
@@ -48,7 +47,6 @@ from repro.engine.batch import (
 )
 from repro.engine.schedulers import (
     BatchedScheduler,
-    MultiprocessScheduler,
     Scheduler,
     create_scheduler,
 )
@@ -59,7 +57,6 @@ __all__ = [
     "ClientBatch",
     "ClientTrainingPlan",
     "EngineSpec",
-    "MultiprocessScheduler",
     "PAYLOAD_FORMATS",
     "SCHEDULER_MODES",
     "Scheduler",

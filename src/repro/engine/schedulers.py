@@ -1,12 +1,11 @@
-"""Execution schedulers: serial, batched (vectorized) and multiprocess.
+"""Execution schedulers: serial and batched (vectorized).
 
 A :class:`Scheduler` owns *how* one round of client work runs.  The
 protocol drivers (:class:`repro.core.protocol.PTFFedRec` and
 :class:`repro.federated.base.ParameterTransmissionFedRec`) describe the
 round — which clients, which round index, which global state — and the
-scheduler decides execution: one client at a time (:class:`Scheduler`),
-stacked into vectorized tensor ops (:class:`BatchedScheduler`), or fanned
-out to worker processes (:class:`MultiprocessScheduler`).
+scheduler decides execution: one client at a time (:class:`Scheduler`) or
+stacked into vectorized tensor ops (:class:`BatchedScheduler`).
 
 Every scheduler is bit-identical to the serial reference on a fixed seed:
 client randomness is keyed by ``(seed, component, client, round)`` — never
@@ -18,20 +17,17 @@ cohorts of 10k–1M clients stream through a fixed envelope:
 
 ``shard_size``
     Every scheduler processes the cohort in contiguous shards
-    (:meth:`Scheduler.iter_shards`): plans, stacked state, worker payloads
-    and per-client deltas are materialized for at most one shard at a
-    time.  Shards are processed — and aggregated — in cohort order, so the
-    additions performed are exactly those of the unsharded round.
+    (:meth:`Scheduler.iter_shards`): plans, stacked state and per-client
+    deltas are materialized for at most one shard at a time.  Shards are
+    processed — and aggregated — in cohort order, so the additions
+    performed are exactly those of the unsharded round.
 
 ``payload="sparse"``
     The FedAvg baselines exchange rows-touched
     :class:`~repro.tensor.sparse.SparseDelta` payloads instead of full
     public tables.  Bit-identical by IEEE-754 arithmetic: a row outside a
     client's touched set receives exactly zero gradient, so its delta is
-    ``+0.0`` and skipping its accumulation changes no aggregate.  The
-    sparse multiprocess path additionally maps the global item tables into
-    shared memory (:meth:`repro.tensor.backend.Backend.create_shared_store`)
-    so workers attach one physical copy instead of unpickling their own.
+    ``+0.0`` and skipping its accumulation changes no aggregate.
 
 Per-client touched-row statistics flow back to the drivers through the
 :meth:`Scheduler.pop_touched` side-channel so the communication ledger can
@@ -40,12 +36,9 @@ meter sparse uploads faithfully.
 
 from __future__ import annotations
 
-import multiprocessing
-import os
-import pickle
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-# repro: disable=backend-purity -- cohort index bookkeeping and worker payload marshalling
+# repro: disable=backend-purity -- cohort index bookkeeping and aggregation buffers
 import numpy as np
 
 from repro.engine.batch import (
@@ -55,7 +48,6 @@ from repro.engine.batch import (
     stack_models,
 )
 from repro.engine.spec import EngineSpec
-from repro.tensor.backend import get_backend, use_backend
 from repro.tensor.sparse import SparseDelta
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -73,7 +65,6 @@ def create_scheduler(spec: Optional[EngineSpec] = None) -> "Scheduler":
     classes = {
         "serial": Scheduler,
         "batched": BatchedScheduler,
-        "multiprocess": MultiprocessScheduler,
     }
     return classes[spec.scheduler](spec)
 
@@ -160,21 +151,7 @@ class Scheduler:
 
     def __init__(self, spec: Optional[EngineSpec] = None):
         self.spec = spec if spec is not None else EngineSpec()
-        self._failed: List[int] = []
         self._touched: TouchedStats = {}
-
-    def pop_failed(self) -> List[int]:
-        """Drain the clients that failed permanently in the last phase.
-
-        Only the multiprocess scheduler ever reports failures (a worker
-        exception is caught, the client retried once on the driver, and
-        unrecovered clients land here); the in-process schedulers let
-        exceptions propagate, so this is always empty for them.  Drivers
-        call this after each training phase and report the drained clients
-        as dropped in the round metrics instead of crashing the run.
-        """
-        failed, self._failed = self._failed, []
-        return failed
 
     def pop_touched(self) -> TouchedStats:
         """Drain the per-client touched-row statistics of the last phase.
@@ -182,8 +159,8 @@ class Scheduler:
         Populated only by the sparse payload path (one entry per completed
         client, mapping each public parameter to ``(num_rows, row_width)``
         of the payload actually shipped); the dense path leaves it empty
-        and drivers fall back to full-table upload metering.  Like
-        :meth:`pop_failed`, draining is the caller's acknowledgement.
+        and drivers fall back to full-table upload metering.  Draining is
+        the caller's acknowledgement.
         """
         touched, self._touched = self._touched, {}
         return touched
@@ -214,11 +191,7 @@ class Scheduler:
         selected: Sequence[int],
         round_index: int,
     ) -> Dict[int, float]:
-        """Run local training for the cohort; returns per-client mean loss.
-
-        May replace entries of ``clients`` with trained equivalents (the
-        multiprocess scheduler round-trips client objects through workers).
-        """
+        """Run local training for the cohort; returns per-client mean loss."""
         return {user: clients[user].local_train(round_index) for user in selected}
 
     def build_ptf_uploads(
@@ -351,8 +324,7 @@ class BatchedScheduler(Scheduler):
     def train_fedavg_clients(self, driver, selected, round_index, global_state):
         model = driver.model
         public_names = driver._public_names
-        private_rows = _private_row_entries(model, public_names, driver.dataset.num_users)
-        if private_rows is None:
+        if not _private_params_are_user_rows(model, public_names, driver.dataset.num_users):
             # A private parameter we cannot row-slice: the serial reference
             # is the only faithful execution.
             return super().train_fedavg_clients(
@@ -470,440 +442,16 @@ class BatchedScheduler(Scheduler):
         return losses, delta_sum, update_count
 
 
-def _private_row_entries(model, public_names, num_users) -> Optional[List[str]]:
-    """Names of private parameters, all of which must be user-row tables.
+def _private_params_are_user_rows(model, public_names, num_users) -> bool:
+    """Whether every private parameter is a table indexed by user.
 
-    Returns ``None`` when some private parameter is not indexed by user
-    (first dimension != ``num_users``) — those couple clients sequentially
-    through shared state and cannot be batched or parallelized faithfully.
+    A private parameter whose first dimension is not ``num_users`` couples
+    clients sequentially through shared state and cannot be batched
+    faithfully.
     """
-    names: List[str] = []
-    for name, parameter in model.named_parameters():
-        if name in public_names:
-            continue
-        if parameter.data.shape[0] != num_users:
-            return None
-        names.append(name)
-    return names
+    return all(
+        parameter.data.shape[0] == num_users
+        for name, parameter in model.named_parameters()
+        if name not in public_names
+    )
 
-
-# ----------------------------------------------------------------------
-# Multiprocess execution
-# ----------------------------------------------------------------------
-def _ptf_worker(payload):
-    clients, round_index = payload
-    # Workers re-activate the clients' backend policy explicitly: a forked
-    # pool would inherit the parent's context, but a spawn-based pool
-    # starts from the default backend and would silently mix precisions.
-    with use_backend(clients[0].spec.backend if clients else None):
-        results = []
-        for client in clients:
-            # One client blowing up must not abort the whole chunk (and with
-            # it the round): report the failure and let the parent retry the
-            # client on the driver from its own, untouched copy.
-            try:
-                loss = client.local_train(round_index)
-            except Exception:
-                results.append((client.user_id, None, None))
-                continue
-            results.append((client.user_id, client, loss))
-        return results
-
-
-def _fedavg_worker(payload):
-    (model, config, seed, public_names, private_names,
-     users, positives, num_items, round_index) = payload
-    from repro.federated.base import fedavg_local_training, load_public_state
-    from repro.utils.rng import RngFactory
-
-    rngs = RngFactory(seed)
-    named = dict(model.named_parameters())
-    # The shipped model carries the round's global public parameters (the
-    # parent loads them before pickling), so reconstructing global_state
-    # here avoids shipping the large public tables twice per worker.
-    global_state = {name: named[name].data.copy() for name in public_names}
-    initial_counts = {
-        attr: table.update_counts.copy() for attr, table in _embedding_tables(model)
-    }
-    results = []
-    with use_backend(getattr(config, "backend", None)):
-        for user in users:
-            load_public_state(model, public_names, global_state)
-            # A mid-training failure leaves the chunk's shared update
-            # counters partially incremented; snapshot and restore them so
-            # the failed client contributes exactly nothing (its public
-            # params are reloaded above and its private row is never
-            # reported back).
-            counts_before = {
-                attr: table.update_counts.copy()
-                for attr, table in _embedding_tables(model)
-            }
-            try:
-                loss = fedavg_local_training(
-                    model, rngs, config, user, positives[user], num_items, round_index
-                )
-            except Exception:
-                for attr, table in _embedding_tables(model):
-                    table.update_counts[...] = counts_before[attr]
-                results.append((user, None, None, None))
-                continue
-            deltas = {
-                name: named[name].data - global_state[name] for name in public_names
-            }
-            rows = {name: named[name].data[user].copy() for name in private_names}
-            results.append((user, loss, deltas, rows))
-    count_increments = {
-        attr: table.update_counts - initial_counts[attr]
-        for attr, table in _embedding_tables(model)
-    }
-    return results, count_increments
-
-
-def _fedavg_worker_sparse(payload):
-    (skeleton, handles, inline_state, config, seed, public_names,
-     private_specs, item_row_names, private_rows, users, positives,
-     num_items, round_index) = payload
-    from repro.federated.base import build_local_plan, load_public_state, run_local_plan
-    from repro.utils.rng import RngFactory
-
-    model = pickle.loads(skeleton)
-    named = dict(model.named_parameters())
-    views = {name: handle.open() for name, handle in handles.items()}
-    try:
-        # The global public tables arrive once, via shared memory (or
-        # inline when the platform has none); the skeleton shipped them as
-        # empty placeholders and load_public_state below re-materializes
-        # each client's working copy from the shared view.
-        global_state = dict(inline_state)
-        global_state.update(views)
-        for name, (shape, dtype) in private_specs.items():
-            # np.zeros is calloc-backed: pages for users outside this
-            # chunk are never touched, so the full-shape private table
-            # costs only the chunk's own rows in resident memory.
-            table = np.zeros(shape, dtype=np.dtype(dtype))
-            for user, row in private_rows[name].items():
-                table[user] = row
-            named[name].data = table
-        rngs = RngFactory(seed)
-        initial_counts = {
-            attr: table.update_counts.copy() for attr, table in _embedding_tables(model)
-        }
-        results = []
-        with use_backend(getattr(config, "backend", None)):
-            for user in users:
-                load_public_state(model, public_names, global_state)
-                counts_before = {
-                    attr: table.update_counts.copy()
-                    for attr, table in _embedding_tables(model)
-                }
-                try:
-                    plan = build_local_plan(
-                        config, rngs, user, positives[user], num_items, round_index
-                    )
-                    loss = (
-                        run_local_plan(model, config, user, plan)
-                        if plan is not None else 0.0
-                    )
-                except Exception:
-                    for attr, table in _embedding_tables(model):
-                        table.update_counts[...] = counts_before[attr]
-                    results.append((user, None, None, None, None))
-                    continue
-                if plan is None:
-                    results.append((user, 0.0, None, None, None))
-                    continue
-                payloads = _client_sparse_payloads(
-                    named, global_state, item_row_names, plan.touched_items()
-                )
-                rows = {name: named[name].data[user].copy() for name in private_specs}
-                results.append((user, loss, payloads, rows, _touched_stats(payloads)))
-        count_increments = {
-            attr: table.update_counts - initial_counts[attr]
-            for attr, table in _embedding_tables(model)
-        }
-        return results, count_increments
-    finally:
-        for handle in handles.values():
-            handle.close()
-
-
-def _embedding_tables(model):
-    """Yield ``(attribute, Embedding)`` pairs of a model (duck-typed)."""
-    for attr, module in model._modules.items():
-        if hasattr(module, "update_counts"):
-            yield attr, module
-
-
-class MultiprocessScheduler(Scheduler):
-    """Fans client work out to worker processes.
-
-    Useful when per-client work is heavy enough to amortize shipping client
-    state to workers and back; on small simulations the serial or batched
-    schedulers are usually faster.  Bit-identical to serial: workers run
-    the unmodified per-client code with the same derived RNG streams, and
-    the parent aggregates results in cohort order.
-
-    Note the pool lifetime: a fresh pool is created *per shard, per round*,
-    because client objects mutate between rounds and must be re-shipped
-    anyway — a persistent pool would save only process startup, which is
-    small next to the state pickling this scheduler already pays.
-    Parallelism across whole *experiments* is different: runs are
-    independent and share nothing, so :class:`repro.sweep.SweepExecutor`
-    keeps one warm, pre-imported worker pool alive for the entire sweep
-    and ships only spec/dataset *recipes*.  Prefer sweep-level parallelism
-    (many runs, one core each) over this scheduler (one run, many cores)
-    when you control the workload shape — e.g. regenerating the paper's
-    tables with ``benchmarks/paper_artifacts.py``.
-    """
-
-    name = "multiprocess"
-
-    def _worker_count(self, num_tasks: int) -> int:
-        configured = self.spec.workers or (os.cpu_count() or 1)
-        return max(1, min(configured, num_tasks))
-
-    def _pool(self, workers: int):
-        methods = multiprocessing.get_all_start_methods()
-        context = multiprocessing.get_context(
-            "fork" if "fork" in methods else None
-        )
-        return context.Pool(workers)
-
-    def _shard_chunks(self, shard: Sequence[int], workers: int) -> List[List[int]]:
-        return [
-            [int(user) for user in chunk]
-            for chunk in np.array_split(list(shard), min(workers, len(shard)))
-            if len(chunk)
-        ]
-
-    def train_ptf_clients(self, clients, selected, round_index):
-        workers = self._worker_count(len(selected))
-        if workers <= 1:
-            return super().train_ptf_clients(clients, selected, round_index)
-        losses: Dict[int, float] = {}
-        for shard in self.iter_shards(selected):
-            chunks = self._shard_chunks(shard, workers)
-            payloads = [
-                ([clients[user] for user in chunk], round_index) for chunk in chunks
-            ]
-            with self._pool(len(payloads)) as pool:
-                chunk_results = pool.map(_ptf_worker, payloads)
-            for chunk_result in chunk_results:
-                for user, trained_client, loss in chunk_result:
-                    if trained_client is None:
-                        # Worker failure: retry once on the driver from the
-                        # parent's own (untrained) client copy; if the retry
-                        # fails too, report the client as dropped rather than
-                        # aborting the round.
-                        try:
-                            losses[user] = clients[user].local_train(round_index)
-                        except Exception:
-                            self._failed.append(int(user))
-                        continue
-                    clients[user] = trained_client
-                    losses[user] = loss
-        return losses
-
-    def train_fedavg_clients(self, driver, selected, round_index, global_state):
-        from repro.federated.base import load_public_state
-
-        workers = self._worker_count(len(selected))
-        private_names = _private_row_entries(
-            driver.model, driver._public_names, driver.dataset.num_users
-        )
-        if workers <= 1 or private_names is None:
-            return super().train_fedavg_clients(
-                driver, selected, round_index, global_state
-            )
-        if _payload_format(driver) == "sparse":
-            return self._train_fedavg_sparse_mp(
-                driver, selected, round_index, global_state, private_names, workers
-            )
-        # Ship global_state inside the model itself (workers reconstruct it
-        # from the public parameters) instead of pickling the tables twice.
-        load_public_state(driver.model, driver._public_names, global_state)
-
-        named = dict(driver.model.named_parameters())
-        tables = dict(_embedding_tables(driver.model))
-        delta_sum = {name: np.zeros_like(value) for name, value in global_state.items()}
-        update_count = {name: np.zeros_like(value) for name, value in global_state.items()}
-        losses: Dict[int, float] = {}
-        retry: List[int] = []
-        for shard in self.iter_shards(selected):
-            payloads = []
-            for users in self._shard_chunks(shard, workers):
-                payloads.append((
-                    driver.model,
-                    driver.config,
-                    driver._rngs.seed,
-                    set(driver._public_names),
-                    list(private_names),
-                    users,
-                    {user: driver.dataset.train_items(user) for user in users},
-                    driver.dataset.num_items,
-                    round_index,
-                ))
-            with self._pool(len(payloads)) as pool:
-                chunk_results = pool.map(_fedavg_worker, payloads)
-            for chunk_result, count_increments in chunk_results:
-                for user, loss, deltas, rows in chunk_result:
-                    if loss is None:
-                        retry.append(int(user))
-                        continue
-                    losses[user] = loss
-                    for name in delta_sum:
-                        delta = deltas[name]
-                        delta_sum[name] += delta
-                        update_count[name] += (delta != 0.0)
-                    for name, row in rows.items():
-                        named[name].data[user] = row
-                for attr, increments in count_increments.items():
-                    tables[attr].update_counts += increments
-        # Retry worker failures once on the driver (after the healthy
-        # results, so their aggregation order is untouched); a client whose
-        # retry also fails is reported as dropped via pop_failed, with its
-        # private row and update counters restored to contribute nothing.
-        for user in retry:
-            rows_before = {name: named[name].data[user].copy() for name in private_names}
-            counts_before = {attr: table.update_counts.copy() for attr, table in tables.items()}
-            driver._load_public_state(global_state)
-            try:
-                losses[user] = driver._local_training(user, round_index)
-            except Exception:
-                for name, row in rows_before.items():
-                    named[name].data[user] = row
-                for attr, counts in counts_before.items():
-                    tables[attr].update_counts[...] = counts
-                self._failed.append(int(user))
-                continue
-            updated = driver._public_state()
-            for name in delta_sum:
-                delta = updated[name] - global_state[name]
-                delta_sum[name] += delta
-                update_count[name] += (delta != 0.0)
-        driver.model.train()
-        return losses, delta_sum, update_count
-
-    def _train_fedavg_sparse_mp(
-        self, driver, selected, round_index, global_state, private_names, workers
-    ):
-        """Sparse exchange over workers: shared tables, rows-touched returns.
-
-        The global item tables are mapped into shared memory once (the
-        :meth:`~repro.tensor.backend.Backend.create_shared_store` seam,
-        with inline pickling as the fallback) and the model ships as a
-        skeleton with the big tables stripped; each worker rebuilds only
-        its own chunk's private rows.  Workers return
-        :class:`~repro.tensor.sparse.SparseDelta` payloads, which the
-        parent folds in per client, in cohort order — the same additions
-        the dense parent performs, minus exact-zero rows.
-        """
-        from repro.federated.base import load_public_state, run_local_plan
-
-        model = driver.model
-        public_names = driver._public_names
-        item_rows = set(driver._item_row_parameter_names())
-        load_public_state(model, public_names, global_state)
-        named = dict(model.named_parameters())
-        tables = dict(_embedding_tables(model))
-
-        backend = get_backend(getattr(driver.config, "backend", None))
-        share = {name: global_state[name] for name in public_names if name in item_rows}
-        store = backend.create_shared_store(share) if share else None
-        handles = dict(store.handles) if store is not None else {}
-        inline_state = {
-            name: value for name, value in global_state.items() if name not in handles
-        }
-        private_specs = {
-            name: (named[name].data.shape, named[name].data.dtype.str)
-            for name in private_names
-        }
-        # Pickle the model once with the big tables stripped: workers
-        # restore the public tables from the shared store and rebuild the
-        # private tables from their own chunk's rows.
-        strip = set(handles) | set(private_names)
-        saved = {name: named[name].data for name in strip}
-        for name in strip:
-            named[name].data = np.empty((0,), dtype=saved[name].dtype)
-        try:
-            skeleton = pickle.dumps(model)
-        finally:
-            for name, data in saved.items():
-                named[name].data = data
-
-        delta_sum = {name: np.zeros_like(value) for name, value in global_state.items()}
-        update_count = {name: np.zeros_like(value) for name, value in global_state.items()}
-        losses: Dict[int, float] = {}
-        retry: List[int] = []
-        try:
-            for shard in self.iter_shards(selected):
-                payloads = []
-                for users in self._shard_chunks(shard, workers):
-                    payloads.append((
-                        skeleton,
-                        handles,
-                        inline_state,
-                        driver.config,
-                        driver._rngs.seed,
-                        set(public_names),
-                        private_specs,
-                        item_rows,
-                        {
-                            name: {user: named[name].data[user].copy() for user in users}
-                            for name in private_names
-                        },
-                        users,
-                        {user: driver.dataset.train_items(user) for user in users},
-                        driver.dataset.num_items,
-                        round_index,
-                    ))
-                with self._pool(len(payloads)) as pool:
-                    chunk_results = pool.map(_fedavg_worker_sparse, payloads)
-                for chunk_result, count_increments in chunk_results:
-                    for user, loss, client_payloads, rows, stats in chunk_result:
-                        if loss is None:
-                            retry.append(int(user))
-                            continue
-                        losses[user] = loss
-                        if client_payloads is None:
-                            self._touched[user] = _zero_touched(global_state)
-                            continue
-                        _accumulate_sparse(client_payloads, delta_sum, update_count)
-                        for name, row in rows.items():
-                            named[name].data[user] = row
-                        self._touched[user] = stats
-                    for attr, increments in count_increments.items():
-                        tables[attr].update_counts += increments
-        finally:
-            if store is not None:
-                store.close()
-        # Retries mirror the dense path: once on the driver, after the
-        # healthy cohort, dropped via pop_failed if they fail again.
-        for user in retry:
-            rows_before = {name: named[name].data[user].copy() for name in private_names}
-            counts_before = {attr: table.update_counts.copy() for attr, table in tables.items()}
-            driver._load_public_state(global_state)
-            try:
-                plan = driver.local_training_plan(user, round_index)
-                loss = (
-                    run_local_plan(model, driver.config, user, plan)
-                    if plan is not None else 0.0
-                )
-            except Exception:
-                for name, row in rows_before.items():
-                    named[name].data[user] = row
-                for attr, counts in counts_before.items():
-                    tables[attr].update_counts[...] = counts
-                self._failed.append(int(user))
-                continue
-            losses[user] = loss
-            if plan is None:
-                self._touched[user] = _zero_touched(global_state)
-                continue
-            client_payloads = _client_sparse_payloads(
-                named, global_state, item_rows, plan.touched_items()
-            )
-            _accumulate_sparse(client_payloads, delta_sum, update_count)
-            self._touched[user] = _touched_stats(client_payloads)
-        model.train()
-        return losses, delta_sum, update_count

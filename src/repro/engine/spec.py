@@ -15,7 +15,7 @@ Example — select the vectorized scheduler and bound cohort memory:
 >>> EngineSpec(scheduler="teleport")
 Traceback (most recent call last):
     ...
-ValueError: scheduler must be one of ('serial', 'batched', 'multiprocess'), got 'teleport'
+ValueError: scheduler must be one of ('serial', 'batched'), got 'teleport'
 """
 
 from __future__ import annotations
@@ -25,9 +25,8 @@ from typing import Tuple
 
 #: The available execution strategies.  ``"serial"`` is the reference
 #: per-client Python loop; ``"batched"`` stacks the cohort's local training
-#: into vectorized tensor ops (see :mod:`repro.engine.batch`);
-#: ``"multiprocess"`` fans clients out to worker processes.
-SCHEDULER_MODES: Tuple[str, ...] = ("serial", "batched", "multiprocess")
+#: into vectorized tensor ops (see :mod:`repro.engine.batch`).
+SCHEDULER_MODES: Tuple[str, ...] = ("serial", "batched")
 
 #: The available parameter-exchange formats for the FedAvg-style baselines.
 #: ``"dense"`` ships and aggregates full public tables per client (the
@@ -50,9 +49,6 @@ class EngineSpec:
         ``O(max_cohort × model size)`` memory, so lower it for large models
         and raise it for tiny ones.  Chunking never changes results — clients
         are independent.
-    ``workers``
-        Worker-process count for the multiprocess scheduler; ``0`` means
-        "use all available cores".
     ``fallback``
         What the batched scheduler does with a client model it has no stacked
         implementation for: ``"serial"`` quietly trains those clients on the
@@ -75,7 +71,6 @@ class EngineSpec:
 
     scheduler: str = "serial"
     max_cohort: int = 128
-    workers: int = 0
     fallback: str = "serial"
     payload: str = "dense"
     shard_size: int = 0
@@ -87,8 +82,6 @@ class EngineSpec:
             )
         if self.max_cohort <= 0:
             raise ValueError(f"max_cohort must be positive, got {self.max_cohort}")
-        if self.workers < 0:
-            raise ValueError(f"workers must be non-negative, got {self.workers}")
         if self.fallback not in ("serial", "error"):
             raise ValueError(
                 f"fallback must be 'serial' or 'error', got {self.fallback!r}"

@@ -11,7 +11,7 @@ that sweeps can override one concern without re-stating the others:
 * :class:`DispersalSpec` — the server's dispersed dataset ``D̃_i`` (Eq. 9),
 * :class:`EvalSpec` — ranking depth and in-training evaluation cadence,
 * :class:`~repro.engine.EngineSpec` — *how* the per-round client work is
-  executed (serial / batched / multiprocess); purely a performance choice,
+  executed (serial / batched); purely a performance choice,
   since every scheduler is bit-identical on a fixed seed,
 * :class:`~repro.scenario.ScenarioSpec` — dynamic-federation fault
   injection (churn, stragglers, async aggregation, streaming arrivals);
@@ -265,6 +265,15 @@ _FLAT_FIELDS["dispersal_mode"] = ("dispersal", "mode")  # legacy PTFConfig name
 
 
 def _section_from_dict(section_cls: type, data: Mapping[str, Any]):
+    if section_cls is EngineSpec:
+        # Specs stored before the multiprocess scheduler was removed carry
+        # its execution-only ``workers`` knob; drop it so they stay loadable.
+        data = {key: value for key, value in data.items() if key != "workers"}
+        if data.get("scheduler") == "multiprocess":
+            raise ValueError(
+                'the "multiprocess" scheduler was removed; use scheduler="batched" '
+                "(faster on every measured workload) or \"serial\""
+            )
     known = {f.name for f in fields(section_cls)}
     unknown = sorted(set(data) - known)
     if unknown:

@@ -297,7 +297,7 @@ class ParameterTransmissionFedRec:
         """Execute one full federated round.
 
         The per-client local updates run through the configured execution
-        engine (serial, batched or multiprocess — all bit-identical).
+        engine (serial or batched — bit-identical).
         Aggregation is coordinate-wise federated averaging over the clients
         that actually updated each entry: a client that never interacted
         with an item contributes nothing to that item's embedding, which is
@@ -324,16 +324,11 @@ class ParameterTransmissionFedRec:
         losses, delta_sum, update_count = self.engine.train_fedavg_clients(
             self, selected, round_index, global_state
         )
-        failed = set(self.engine.pop_failed())
         touched = self.engine.pop_touched()
-        client_losses: List[float] = [
-            losses[user] for user in selected if user not in failed
-        ]
+        client_losses: List[float] = [losses[user] for user in selected]
         for user in selected:
             self.ledger.record(round_index, user, "download", download_bytes,
                                description=f"{self.name} public parameters")
-            if user in failed:
-                continue
             if user in touched:
                 self.ledger.record(round_index, user, "upload",
                                    self._upload_bytes_sparse(touched[user]),
@@ -348,20 +343,10 @@ class ParameterTransmissionFedRec:
             new_state[name] = base + delta_sum[name] / count
         self._load_public_state(new_state)
         self.rounds_completed += 1
-        logs = {
+        return {
             "num_clients": len(selected),
             "client_loss": float(np.mean(client_losses)) if client_losses else 0.0,
         }
-        if failed:
-            # Worker failures outside any scenario still surface as drops
-            # (extra keys appear only on failing rounds, so healthy runs
-            # keep their exact log schema).
-            logs.update(RoundParticipation(
-                selected=len(selected),
-                completed=len(selected) - len(failed),
-                dropped=len(failed),
-            ).as_logs())
-        return logs
 
     def _encode_buffered(self, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
         """Encode a stale cohort's summed payload for buffering.
@@ -395,13 +380,11 @@ class ParameterTransmissionFedRec:
         weighted_sum = {n: np.zeros_like(v) for n, v in global_state.items()}
         weighted_count = {n: np.zeros_like(v) for n, v in global_state.items()}
         losses: Dict[int, float] = {}
-        failed: List[int] = []
 
         def train_group(users):
             group_losses, dsum, dcount = self.engine.train_fedavg_clients(
                 self, list(users), round_index, global_state
             )
-            failed.extend(self.engine.pop_failed())
             losses.update(group_losses)
             return dsum, dcount
 
@@ -412,16 +395,14 @@ class ParameterTransmissionFedRec:
                 weighted_count[name] += dcount[name]
         for staleness, users in plan.stale_groups():
             dsum, dcount = train_group(users)
-            survivors = [user for user in users if user in losses]
-            if survivors:
-                self._stale_buffer.append({
-                    "due_round": round_index + staleness,
-                    "origin_round": round_index,
-                    "staleness": staleness,
-                    "users": survivors,
-                    "delta_sum": self._encode_buffered(dsum),
-                    "update_count": self._encode_buffered(dcount),
-                })
+            self._stale_buffer.append({
+                "due_round": round_index + staleness,
+                "origin_round": round_index,
+                "staleness": staleness,
+                "users": users,
+                "delta_sum": self._encode_buffered(dsum),
+                "update_count": self._encode_buffered(dcount),
+            })
         if plan.lost:
             train_group(plan.lost)
         touched = self.engine.pop_touched()
@@ -451,8 +432,7 @@ class ParameterTransmissionFedRec:
             applied += len(entry["users"])
         self._stale_buffer = pending_buffer
 
-        failed_set = set(failed)
-        uploaded = ({user for user in plan.on_time} | set(plan.stale)) - failed_set
+        uploaded = set(plan.on_time) | set(plan.stale)
         for user in plan.selected:
             if user in plan.dropped:
                 continue
@@ -475,11 +455,11 @@ class ParameterTransmissionFedRec:
         self._load_public_state(new_state)
         self.rounds_completed += 1
 
-        client_losses = [losses[user] for user in plan.trained if user in losses]
+        client_losses = [losses[user] for user in plan.trained]
         participation = RoundParticipation(
             selected=len(plan.selected),
-            completed=len([u for u in plan.on_time if u not in failed_set]),
-            dropped=len(plan.dropped) + len(plan.lost) + len(failed),
+            completed=len(plan.on_time),
+            dropped=len(plan.dropped) + len(plan.lost),
             straggled=len(plan.stale) + len(plan.lost),
             stale_applied=applied,
         )

@@ -83,8 +83,8 @@ class Optimizer:
     def __getstate__(self) -> Dict[str, Any]:
         """Pickle without the scratch buffers (content-free; lazily rebuilt).
 
-        Keeps the payload lean when the multiprocess scheduler ships
-        client optimizers to workers and back.
+        Keeps pickled client objects lean: the scratch is pure
+        workspace, so dropping it changes no result.
         """
         state = self.__dict__.copy()
         state["_scratch"] = {}
@@ -121,9 +121,8 @@ class SGD(Optimizer):
     """Stochastic gradient descent with optional momentum and weight decay.
 
     Per-parameter state is keyed by the parameter's *index* in the managed
-    list (not ``id()``), so optimizer state survives pickling — a property
-    the multiprocess execution engine relies on when it ships clients to
-    worker processes and back.
+    list (not ``id()``), so optimizer state survives pickling and copying
+    of the clients that own it.
     """
 
     def __init__(

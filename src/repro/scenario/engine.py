@@ -17,7 +17,7 @@ Determinism contract
   initialization keep their existing streams untouched, so enabling a
   fault never perturbs any other randomness.
 * Events depend only on ``(seed, spec, client id, round index)``, never on
-  execution order: all three schedulers see the same event stream, and a
+  execution order: both schedulers see the same event stream, and a
   checkpoint resume replays the remaining rounds' events bit-identically
   (the stream is re-derived, not stored).
 * With the default (disabled) spec the drivers skip the scenario path

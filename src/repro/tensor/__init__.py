@@ -22,11 +22,6 @@ from repro.tensor.backend import (
     set_backend,
     use_backend,
 )
-from repro.tensor.sharedmem import (
-    SharedEmbeddingStore,
-    SharedTableHandle,
-    shared_memory_available,
-)
 from repro.tensor.sparse import SparseDelta
 from repro.tensor.tensor import Tensor, no_grad, is_grad_enabled
 from repro.tensor import functional
@@ -38,10 +33,7 @@ __all__ = [
     "is_grad_enabled",
     "functional",
     "check_gradients",
-    "SharedEmbeddingStore",
-    "SharedTableHandle",
     "SparseDelta",
-    "shared_memory_available",
     "Backend",
     "NumpyBackend",
     "Numpy32Backend",

@@ -24,8 +24,8 @@ tensors carry, and which kernel applies an optimizer update — is owned by a
 
 The active backend is tracked in a :class:`contextvars.ContextVar`, so
 ``use_backend("numpy32")`` in one thread never changes what another thread
-computes (the threaded serving tier and the multiprocess scheduler rely on
-this).  The policy is threaded through the stack by
+computes (the threaded serving tier relies on this).  The policy is
+threaded through the stack by
 :class:`~repro.experiments.spec.ExperimentSpec.backend`: the trainer
 adapters activate the spec's backend around model construction, training
 and evaluation, and checkpoints record it in their manifest so artifacts
@@ -116,34 +116,6 @@ class Backend:
             velocity = momentum * velocity + grad
             grad = velocity
         return data - lr * grad, velocity
-
-    # ------------------------------------------------------------------
-    # Shared embedding storage (multiprocess training)
-    # ------------------------------------------------------------------
-    def create_shared_store(self, arrays: Dict[str, np.ndarray]):
-        """Map ``arrays`` into a store worker processes can attach.
-
-        Returns a :class:`repro.tensor.sharedmem.SharedEmbeddingStore`
-        (workers receive picklable handles and open read-only views of the
-        global tables — one physical copy regardless of worker count), or
-        ``None`` when the platform provides no usable shared memory, in
-        which case callers fall back to pickling the tables inline.  Part
-        of the backend seam because the right sharing mechanism is a
-        property of the substrate (an accelerator backend would expose
-        device memory here instead of POSIX segments).
-        """
-        from repro.tensor.sharedmem import SharedEmbeddingStore, shared_memory_available
-
-        if not shared_memory_available():  # pragma: no cover - exotic platforms
-            return None
-        try:
-            return SharedEmbeddingStore(
-                {name: self.asarray(array) for name, array in arrays.items()}
-            )
-        except (OSError, ValueError):
-            # No /dev/shm, quota exceeded, sandboxed — the dense pickling
-            # path still produces identical results, just costs more memory.
-            return None
 
     def adam_update(
         self,

@@ -220,11 +220,11 @@ class TestResumeFidelity:
 # Optimizer state across engine schedulers (satellite)
 # ----------------------------------------------------------------------
 class TestOptimizerStateAcrossSchedulers:
-    @pytest.mark.parametrize("scheduler", ["serial", "batched", "multiprocess"])
+    @pytest.mark.parametrize("scheduler", ["serial", "batched"])
     def test_reload_then_continue_matches_uninterrupted(
         self, scheduler, tiny_dataset, tmp_path
     ):
-        spec = tiny_spec(scheduler=scheduler, workers=2)
+        spec = tiny_spec(scheduler=scheduler)
         full = repro.run(spec, tiny_dataset)
 
         callback = CheckpointEveryK(tmp_path / "ck", every=HALF, save_on_fit_end=False)
@@ -233,13 +233,13 @@ class TestOptimizerStateAcrossSchedulers:
         assert resumed.history == full.history
         assert resumed.final == full.final
 
-    @pytest.mark.parametrize("scheduler", ["serial", "batched", "multiprocess"])
+    @pytest.mark.parametrize("scheduler", ["serial", "batched"])
     def test_adam_state_survives_checkpoint_and_pickle(
         self, scheduler, tiny_dataset, tmp_path
     ):
         """Index-keyed Adam state round-trips through the artifact *and*
-        through pickle (what the multiprocess scheduler ships)."""
-        spec = tiny_spec(scheduler=scheduler, workers=2, rounds=HALF)
+        through pickle."""
+        spec = tiny_spec(scheduler=scheduler, rounds=HALF)
         adapter = create_trainer(spec, tiny_dataset).fit()
         save_checkpoint(tmp_path / "ck", adapter)
 
@@ -280,6 +280,100 @@ class TestResultRoundTrips:
         result = repro.run(tiny_spec("fcf", rounds=1), tiny_dataset)
         assert result.privacy is None
         assert RunResult.from_dict(result.to_dict()) == result
+
+
+# ----------------------------------------------------------------------
+# Specs stored before the multiprocess scheduler was removed
+# ----------------------------------------------------------------------
+class TestLegacyEngineFields:
+    """Older artifacts carry ``engine.workers``; they must keep loading."""
+
+    def test_spec_with_workers_loads_unchanged(self):
+        spec = tiny_spec(scheduler="batched")
+        data = spec.to_dict()
+        data["engine"]["workers"] = 0
+        loaded = ExperimentSpec.from_dict(data)
+        assert loaded == spec
+        assert loaded.fingerprint() == spec.fingerprint()
+
+    def test_run_result_with_workers_loads(self, tiny_dataset):
+        result = repro.run(tiny_spec(rounds=1), tiny_dataset)
+        data = result.to_dict()
+        data["spec"]["engine"]["workers"] = 0
+        loaded = RunResult.from_dict(data)
+        assert loaded == result
+        assert loaded.spec.fingerprint() == result.spec.fingerprint()
+
+    def test_checkpoint_with_workers_restores(self, tiny_dataset, tmp_path):
+        spec = tiny_spec()
+        full = repro.run(spec, tiny_dataset)
+        callback = CheckpointEveryK(tmp_path / "ck", every=HALF, save_on_fit_end=False)
+        repro.run(spec.replace(rounds=HALF), tiny_dataset, callbacks=[callback])
+        latest = tmp_path / "ck" / "latest"
+        manifest_path = latest / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"]["engine"]["workers"] = 0
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+
+        checkpoint = load_checkpoint(latest)
+        assert checkpoint.spec.fingerprint() == spec.replace(rounds=HALF).fingerprint()
+        assert checkpoint.restore(tiny_dataset).rounds_completed() == HALF
+        resumed = repro.run(spec, tiny_dataset, resume_from=latest)
+        assert resumed.history == full.history
+        assert resumed.final == full.final
+
+    @pytest.mark.parametrize("scheduler", ["serial", "batched"])
+    @pytest.mark.parametrize("trainer", ["ptf", "fcf", "fedmf", "metamf", "centralized"])
+    def test_every_trainer_spec_with_workers_loads(self, trainer, scheduler):
+        spec = tiny_spec(trainer, scheduler=scheduler)
+        data = json.loads(spec.to_json())
+        data["engine"]["workers"] = 2
+        loaded = ExperimentSpec.from_json(json.dumps(data))
+        assert loaded == spec
+        assert loaded.to_dict() == spec.to_dict()  # the key is gone on re-save
+        assert loaded.fingerprint() == spec.fingerprint()
+
+    def test_sweep_store_slot_with_workers_is_a_cache_hit(self, tmp_path):
+        from repro.sweep import ArtifactStore, SweepSpec, run_sweep
+
+        sweep = SweepSpec.from_grid(
+            "legacy", base={"trainer": "fcf", "protocol": {"rounds": 1},
+                            "model": {"embedding_dim": 4}},
+            grid={"seed": [0, 1]}, dataset={"source": "debug", "seed": 5},
+        )
+        first = run_sweep(sweep, store=tmp_path, workers=1)
+        store = ArtifactStore(tmp_path)
+        for fingerprint in store.fingerprints():
+            path = store.result_path(fingerprint)
+            stored = json.loads(path.read_text(encoding="utf-8"))
+            stored["spec"]["engine"]["workers"] = 0
+            path.write_text(json.dumps(stored), encoding="utf-8")
+
+        second = run_sweep(sweep, store=tmp_path, workers=1)
+        assert second.report.executed == 0 and second.report.cache_hits == 2
+        assert second.results == first.results
+
+    def test_stored_multiprocess_scheduler_is_rejected(self):
+        data = tiny_spec().to_dict()
+        data["engine"].update(scheduler="multiprocess", workers=2)
+        with pytest.raises(ValueError, match="multiprocess.*removed.*batched"):
+            ExperimentSpec.from_dict(data)
+
+    def test_stored_multiprocess_run_result_is_rejected(self, tiny_dataset):
+        data = repro.run(tiny_spec(rounds=1), tiny_dataset).to_dict()
+        data["spec"]["engine"].update(scheduler="multiprocess", workers=2)
+        with pytest.raises(ValueError, match="multiprocess.*removed.*batched"):
+            RunResult.from_dict(data)
+
+    def test_stored_multiprocess_checkpoint_is_rejected(self, tiny_dataset, tmp_path):
+        adapter = create_trainer(tiny_spec(rounds=1), tiny_dataset).fit()
+        save_checkpoint(tmp_path / "ck", adapter)
+        manifest_path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text(encoding="utf-8"))
+        manifest["spec"]["engine"].update(scheduler="multiprocess", workers=2)
+        manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
+        with pytest.raises(ValueError, match="multiprocess.*removed.*batched"):
+            load_checkpoint(tmp_path / "ck")
 
 
 # ----------------------------------------------------------------------

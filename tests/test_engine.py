@@ -19,7 +19,6 @@ from repro.engine import (
     EngineSpec,
     Scheduler,
     BatchedScheduler,
-    MultiprocessScheduler,
     create_scheduler,
     stack_models,
 )
@@ -67,8 +66,8 @@ class TestEngineSpec:
 
     @pytest.mark.parametrize("bad", [
         {"scheduler": "teleport"},
+        {"scheduler": "multiprocess"},
         {"max_cohort": 0},
-        {"workers": -1},
         {"fallback": "panic"},
     ])
     def test_invalid_values_rejected(self, bad):
@@ -85,15 +84,14 @@ class TestEngineSpec:
         assert ExperimentSpec.from_json(spec.to_json()) == spec
 
     def test_flat_field_access(self):
-        spec = ExperimentSpec.from_flat(trainer="ptf", scheduler="multiprocess",
-                                        workers=2)
-        assert spec.engine.scheduler == "multiprocess"
-        assert spec.engine.workers == 2
+        spec = ExperimentSpec.from_flat(trainer="ptf", scheduler="batched",
+                                        shard_size=2)
+        assert spec.engine.scheduler == "batched"
+        assert spec.engine.shard_size == 2
 
     @pytest.mark.parametrize("name,cls", [
         ("serial", Scheduler),
         ("batched", BatchedScheduler),
-        ("multiprocess", MultiprocessScheduler),
     ])
     def test_create_scheduler(self, name, cls):
         scheduler = create_scheduler(EngineSpec(scheduler=name))
@@ -135,15 +133,6 @@ class TestSchedulerEquivalence:
         )
         assert serial.final.as_dict() == chunked.final.as_dict()
         assert run_history(serial) == run_history(chunked)
-
-    @pytest.mark.parametrize("trainer", ["ptf", "fcf"])
-    def test_multiprocess_matches_serial(self, trainer, dataset):
-        serial = repro.run(tiny_spec(trainer, "serial"), dataset)
-        multi = repro.run(
-            tiny_spec(trainer, "multiprocess").replace(workers=2), dataset
-        )
-        assert serial.final.as_dict() == multi.final.as_dict()
-        assert run_history(serial) == run_history(multi)
 
     def test_batched_client_states_match_serial(self):
         """Not just metrics: every model parameter must match bitwise."""
@@ -245,6 +234,31 @@ class TestClientBatch:
 
         with pytest.raises(NotImplementedError):
             scheduler.train_ptf_clients({0: FakeClient()}, [0], 0)
+
+
+class TestGraphClientModels:
+    """NGCF and LightGCN clients cannot be stacked; ``batched`` still runs them.
+
+    The default ``fallback="serial"`` trains such cohorts one client at a
+    time, so the result is the serial reference bit for bit.
+    """
+
+    @pytest.mark.parametrize("client_model", ["ngcf", "lightgcn"])
+    def test_batched_falls_back_to_serial_results(self, client_model, dataset):
+        serial = repro.run(tiny_spec("ptf", "serial", client_model=client_model),
+                           dataset)
+        batched = repro.run(tiny_spec("ptf", "batched", client_model=client_model),
+                            dataset)
+        assert serial.final.as_dict() == batched.final.as_dict()
+        assert run_history(serial) == run_history(batched)
+        assert serial.communication == batched.communication
+
+    @pytest.mark.parametrize("client_model,cls", [("ngcf", "NGCF"),
+                                                  ("lightgcn", "LightGCN")])
+    def test_error_fallback_names_the_model(self, client_model, cls, dataset):
+        spec = tiny_spec("ptf", "batched", client_model=client_model)
+        with pytest.raises(NotImplementedError, match=f"{cls} client models"):
+            repro.run(spec.replace(fallback="error"), dataset)
 
 
 class TestOptimizerStateTransfer:

@@ -34,7 +34,7 @@ from repro.federated.fedmf import FedMF
 from repro.federated.metamf import MetaMF
 from repro.utils.rng import RngFactory
 
-SCHEDULERS = ("serial", "batched", "multiprocess")
+SCHEDULERS = ("serial", "batched")
 ALL_TRAINERS = ("ptf", "fcf", "fedmf", "metamf", "centralized")
 #: Trainers whose parameter exchange actually changes format under
 #: ``payload="sparse"`` — their ledger legitimately differs from dense.
@@ -62,8 +62,8 @@ def _spec(trainer, scheduler="serial", payload="dense", shard_size=0,
         protocol={"rounds": rounds, "client_local_epochs": 1,
                   "server_epochs": 1, "client_fraction": client_fraction},
         evaluation={"max_users": 6},
-        engine={"scheduler": scheduler, "workers": 2,
-                "payload": payload, "shard_size": shard_size},
+        engine={"scheduler": scheduler, "payload": payload,
+                "shard_size": shard_size},
         scenario=scenario or {},
     )
 
@@ -212,8 +212,7 @@ class TestSparseResume:
 def _driver_config(payload="dense", scheduler="batched", **overrides):
     return FederatedConfig(
         rounds=2, local_epochs=1, seed=9,
-        engine=EngineSpec(scheduler=scheduler, payload=payload,
-                          shard_size=4, workers=2),
+        engine=EngineSpec(scheduler=scheduler, payload=payload, shard_size=4),
         **overrides,
     )
 

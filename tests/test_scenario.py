@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 import pytest
 
@@ -20,7 +18,7 @@ from repro.scenario import (
 )
 from repro.utils.rng import RngFactory
 
-SCHEDULERS = ("serial", "batched", "multiprocess")
+SCHEDULERS = ("serial", "batched")
 
 CHURN = {"dropout": 0.3}
 STRAGGLER_SYNC = {"deadline": 1.0, "latency_range": (0.5, 1.5)}
@@ -52,7 +50,7 @@ def _spec(trainer, scenario=None, scheduler="serial", rounds=2, **overrides):
         trainer=trainer,
         protocol={"rounds": rounds, "client_local_epochs": 1, "server_epochs": 1},
         evaluation={"max_users": 6},
-        engine={"scheduler": scheduler, "workers": 2},
+        engine={"scheduler": scheduler},
         scenario=scenario or {},
         **overrides,
     )
@@ -274,10 +272,9 @@ class TestFaultDeterminism:
             )
             for scheduler in SCHEDULERS
         }
-        for scheduler in ("batched", "multiprocess"):
-            assert _run_fingerprint(results[scheduler]) == _run_fingerprint(
-                results["serial"]
-            ), scheduler
+        assert _run_fingerprint(results["batched"]) == _run_fingerprint(
+            results["serial"]
+        )
 
     def test_history_carries_participation_keys(self, tiny_dataset):
         result = repro.run(_spec("ptf", scenario=CHURN, rounds=3), tiny_dataset)
@@ -341,74 +338,74 @@ class TestScenarioResume:
 
 
 # ----------------------------------------------------------------------
-# Satellite: multiprocess worker failure recovery
+# A failing client aborts the run: no scheduler swallows exceptions
 # ----------------------------------------------------------------------
-class TestWorkerFailureRecovery:
-    def _worker_only_failure(self, monkeypatch, cls, method, user_attr, victims):
-        """Patch ``cls.method`` to raise inside pool workers for ``victims``."""
-        parent = os.getpid()
-        original = getattr(cls, method)
+class TestClientFailurePropagates:
+    """An exception in one client's local training surfaces from ``repro.run``.
 
-        def flaky(self, *args, **kwargs):
-            if int(getattr(self, user_attr)) in victims and os.getpid() != parent:
-                raise RuntimeError("injected worker failure")
-            return original(self, *args, **kwargs)
+    Schedulers never catch client errors, so no run can complete with a
+    failure disguised as a ``dropped`` count.  Each case patches the
+    function its scheduler actually trains through, with and without a
+    scenario (both round loops of each driver).
+    """
 
-        monkeypatch.setattr(cls, method, flaky)
+    VICTIM = 3
 
-    def test_ptf_worker_failure_recovered_by_driver_retry(
-        self, monkeypatch, tiny_dataset
-    ):
+    def _patch(self, monkeypatch, owner, name, fails):
+        original = getattr(owner, name)
+
+        def flaky(*args, **kwargs):
+            if fails(*args, **kwargs):
+                raise RuntimeError("injected client failure")
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, flaky)
+
+    def _assert_raises(self, spec, dataset):
+        with pytest.raises(RuntimeError, match="injected client failure"):
+            repro.run(spec, dataset)
+
+    @pytest.mark.parametrize("scenario", [None, STRAGGLER_ASYNC],
+                             ids=["no-scenario", "straggler-async"])
+    @pytest.mark.parametrize("scheduler", SCHEDULERS)
+    def test_ptf_local_train_failure(self, monkeypatch, tiny_dataset, scheduler,
+                                     scenario):
         from repro.core.client import PTFClient
 
-        spec = _spec("ptf", scheduler="multiprocess", rounds=2)
-        reference = repro.run(_spec("ptf", scheduler="serial", rounds=2), tiny_dataset)
-        self._worker_only_failure(
-            monkeypatch, PTFClient, "local_train", "user_id", {3, 7}
-        )
-        result = repro.run(spec, tiny_dataset)
-        # The retry reruns the exact keyed computation on the driver, so a
-        # recovered round is still bit-identical to the serial reference.
-        assert _run_fingerprint(result) == _run_fingerprint(reference)
+        self._patch(monkeypatch, PTFClient, "local_train",
+                    lambda client, round_index: client.user_id == self.VICTIM)
+        # NGCF clients have no stacked implementation, so the batched
+        # scheduler trains them through local_train as well.
+        spec = _spec("ptf", scenario=scenario, scheduler=scheduler,
+                     model={"client_model": "ngcf"})
+        self._assert_raises(spec, tiny_dataset)
 
-    def test_ptf_permanent_failure_reported_as_dropped(
-        self, monkeypatch, tiny_dataset
-    ):
-        from repro.core.client import PTFClient
-
-        original = PTFClient.local_train
-
-        def always_failing(self, round_index):
-            if int(self.user_id) in {3, 7}:
-                raise RuntimeError("injected permanent failure")
-            return original(self, round_index)
-
-        monkeypatch.setattr(PTFClient, "local_train", always_failing)
-        result = repro.run(_spec("ptf", scheduler="multiprocess", rounds=2), tiny_dataset)
-        assert result.rounds_completed == 2
-        for record in result.history:
-            assert record.metrics["dropped"] == 2
-            assert record.metrics["completed"] == record.metrics["selected"] - 2
-
-    def test_fedavg_permanent_failure_reported_as_dropped(
-        self, monkeypatch, tiny_dataset
-    ):
+    @pytest.mark.parametrize("scenario", [None, STRAGGLER_ASYNC],
+                             ids=["no-scenario", "straggler-async"])
+    @pytest.mark.parametrize("payload", ["dense", "sparse"])
+    def test_fedavg_run_local_plan_failure(self, monkeypatch, tiny_dataset,
+                                           payload, scenario):
         import repro.federated.base as federated_base
 
-        original = federated_base.run_local_plan
+        # The serial scheduler trains FedAvg clients through run_local_plan.
+        self._patch(monkeypatch, federated_base, "run_local_plan",
+                    lambda model, config, user, plan: user == self.VICTIM)
+        spec = _spec("fedmf", scenario=scenario).replace(payload=payload)
+        self._assert_raises(spec, tiny_dataset)
 
-        def always_failing(model, config, user, plan):
-            if int(user) in {2, 5}:
-                raise RuntimeError("injected permanent failure")
-            return original(model, config, user, plan)
+    @pytest.mark.parametrize("scenario", [None, STRAGGLER_ASYNC],
+                             ids=["no-scenario", "straggler-async"])
+    @pytest.mark.parametrize("trainer", ["ptf", "fedmf"])
+    def test_stacked_batch_failure(self, monkeypatch, tiny_dataset, trainer,
+                                   scenario):
+        from repro.engine import ClientBatch
 
-        monkeypatch.setattr(federated_base, "run_local_plan", always_failing)
-        result = repro.run(
-            _spec("fedmf", scheduler="multiprocess", rounds=2), tiny_dataset
-        )
-        assert result.rounds_completed == 2
-        for record in result.history:
-            assert record.metrics["dropped"] == 2
+        # The batched scheduler trains stackable models in ClientBatch.run,
+        # never calling the per-client entry points patched above; every
+        # stacked cohort fails here.
+        self._patch(monkeypatch, ClientBatch, "run", lambda batch: True)
+        spec = _spec(trainer, scenario=scenario, scheduler="batched")
+        self._assert_raises(spec, tiny_dataset)
 
 
 # ----------------------------------------------------------------------

@@ -182,7 +182,7 @@ class TestFingerprint:
     def test_execution_only_knobs_do_not_change_it(self):
         spec = repro.ExperimentSpec.from_dict(BASE)
         assert spec.fingerprint("d") == spec.replace(
-            scheduler="batched", workers=4
+            scheduler="batched", shard_size=4
         ).fingerprint("d")
         assert spec.fingerprint("d") == spec.replace(batch_size=7).fingerprint("d")
         assert spec.fingerprint("d") == spec.replace(verbose=True).fingerprint("d")
