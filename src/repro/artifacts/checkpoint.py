@@ -85,8 +85,8 @@ def dataset_from_state(state: Dict[str, Any]) -> InteractionDataset:
     return InteractionDataset(
         num_users=int(state["num_users"]),
         num_items=int(state["num_items"]),
-        train_pairs=[(int(u), int(i)) for u, i in np.asarray(state["train_pairs"]).reshape(-1, 2)],
-        test_pairs=[(int(u), int(i)) for u, i in np.asarray(state["test_pairs"]).reshape(-1, 2)],
+        train_pairs=np.asarray(state["train_pairs"]).reshape(-1, 2),
+        test_pairs=np.asarray(state["test_pairs"]).reshape(-1, 2),
         name=str(state["name"]),
     )
 
@@ -296,24 +296,28 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
     path = Path(path)
     manifest_text = _read_manifest_text(path)
     for attempt in range(_LOAD_RETRIES):
-        manifest = json.loads(manifest_text)
-        if manifest.get("kind") != _MANIFEST_KIND:
-            raise ValueError(f"{path / MANIFEST_NAME} is not a repro checkpoint manifest")
-        version = manifest.get("schema_version")
-        if version not in SUPPORTED_SCHEMA_VERSIONS:
-            raise ValueError(
-                f"unsupported checkpoint schema version {version!r} "
-                f"(this build reads versions {SUPPORTED_SCHEMA_VERSIONS})"
-            )
         try:
+            if manifest_text is None:
+                manifest_text = _read_manifest_text(path)
+            manifest = json.loads(manifest_text)
+            if manifest.get("kind") != _MANIFEST_KIND:
+                raise ValueError(f"{path / MANIFEST_NAME} is not a repro checkpoint manifest")
+            version = manifest.get("schema_version")
+            if version not in SUPPORTED_SCHEMA_VERSIONS:
+                raise ValueError(
+                    f"unsupported checkpoint schema version {version!r} "
+                    f"(this build reads versions {SUPPORTED_SCHEMA_VERSIONS})"
+                )
             with np.load(path / manifest["arrays_file"], allow_pickle=False) as payload:
                 arrays = {key: payload[key] for key in payload.files}
             reread = _read_manifest_text(path)
         except FileNotFoundError:
             # Mid-swap window: the old directory was parked and the new
-            # one not yet renamed in.  Wait out the rename and restart.
+            # one not yet renamed in.  Wait out the rename and restart from
+            # a fresh manifest; a path still missing then costs one more
+            # attempt, like a torn read.
             time.sleep(0.01 * (attempt + 1))
-            manifest_text = _read_manifest_text(path)
+            manifest_text = None
             continue
         if reread == manifest_text:
             break
@@ -322,6 +326,10 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
         # one.  Restart from the fresh manifest.
         manifest_text = reread
     else:
+        if manifest_text is None:
+            raise FileNotFoundError(
+                f"checkpoint at {path} stayed missing across {_LOAD_RETRIES} load attempts"
+            )
         raise RuntimeError(
             f"checkpoint at {path} kept changing across {_LOAD_RETRIES} load "
             "attempts; is a writer saving in a tight loop?"

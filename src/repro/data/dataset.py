@@ -39,6 +39,10 @@ class InteractionDataset:
     All interactions are positive (``r = 1``); negatives are sampled from
     non-interacted items at training and evaluation time, following the
     paper's protocol (1:4 negative sampling, 8:2 train/test split).
+
+    Each split is one read-only ``(N, 2)`` int64 array of ``(user, item)``
+    rows, sorted and de-duplicated, plus CSR row offsets: user ``u``'s items
+    are rows ``offsets[u]:offsets[u + 1]``, so per-user lookups are O(1) views.
     """
 
     def __init__(
@@ -54,41 +58,30 @@ class InteractionDataset:
         self.num_users = int(num_users)
         self.num_items = int(num_items)
         self.name = name
-        self._train_by_user = self._group_by_user(train_pairs, "train")
-        self._test_by_user = self._group_by_user(test_pairs, "test")
-        self._train_pairs = np.asarray(
-            sorted((u, i) for u, items in self._train_by_user.items() for i in items),
-            dtype=np.int64,
-        ).reshape(-1, 2)
-        self._test_pairs = np.asarray(
-            sorted((u, i) for u, items in self._test_by_user.items() for i in items),
-            dtype=np.int64,
-        ).reshape(-1, 2)
+        self._train_pairs, self._train_offsets = self._index(train_pairs, "train")
+        self._test_pairs, self._test_offsets = self._index(test_pairs, "test")
+        self._users = np.flatnonzero(np.diff(self._train_offsets)).tolist()
 
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-    def _group_by_user(
-        self, pairs: Sequence[Tuple[int, int]], label: str
-    ) -> Dict[int, np.ndarray]:
-        grouped: Dict[int, set] = {}
-        for user, item in pairs:
-            user = int(user)
-            item = int(item)
-            if not 0 <= user < self.num_users:
+    def _index(self, pairs: Sequence[Tuple[int, int]], label: str) -> Tuple[np.ndarray, List[int]]:
+        """Validate a split and return its sorted unique rows with their CSR
+        offsets; an error names the first bad pair in input order, user first."""
+        pairs = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        bad_user = (pairs[:, 0] < 0) | (pairs[:, 0] >= self.num_users)
+        bad = bad_user | (pairs[:, 1] < 0) | (pairs[:, 1] >= self.num_items)
+        if bad.any():
+            row = bad.argmax()
+            user, item = pairs[row]
+            if bad_user[row]:
                 raise ValueError(f"{label} pair has user {user} outside [0, {self.num_users})")
-            if not 0 <= item < self.num_items:
-                raise ValueError(f"{label} pair has item {item} outside [0, {self.num_items})")
-            grouped.setdefault(user, set()).add(item)
-        return {user: np.array(sorted(items), dtype=np.int64) for user, items in grouped.items()}
+            raise ValueError(f"{label} pair has item {item} outside [0, {self.num_items})")
+        pairs = _unique_rows(pairs)
+        pairs.flags.writeable = False
+        return pairs, np.searchsorted(pairs[:, 0], np.arange(self.num_users + 1)).tolist()
 
-    # ------------------------------------------------------------------
-    # Accessors
-    # ------------------------------------------------------------------
     @property
     def users(self) -> List[int]:
         """Users that have at least one training interaction."""
-        return sorted(self._train_by_user)
+        return list(self._users)
 
     @property
     def num_train_interactions(self) -> int:
@@ -110,20 +103,17 @@ class InteractionDataset:
 
     def train_items(self, user: int) -> np.ndarray:
         """Items the user interacted with in the training split."""
-        return self._train_by_user.get(int(user), np.empty(0, dtype=np.int64))
+        return _row(self._train_pairs, self._train_offsets, user)
 
     def test_items(self, user: int) -> np.ndarray:
         """Items held out for the user in the test split."""
-        return self._test_by_user.get(int(user), np.empty(0, dtype=np.int64))
+        return _row(self._test_pairs, self._test_offsets, user)
 
     def train_matrix(self) -> sp.csr_matrix:
         """Binary user-item training matrix in CSR format."""
-        if self._train_pairs.size == 0:
-            return sp.csr_matrix((self.num_users, self.num_items))
-        rows = self._train_pairs[:, 0]
-        cols = self._train_pairs[:, 1]
-        values = np.ones(len(rows))
-        return sp.csr_matrix((values, (rows, cols)), shape=(self.num_users, self.num_items))
+        values = np.ones(self.num_train_interactions)
+        csr = (values, self._train_pairs[:, 1], self._train_offsets)
+        return sp.csr_matrix(csr, shape=(self.num_users, self.num_items))
 
     def stats(self) -> DatasetStats:
         """Statistics over the full dataset (train + test)."""
@@ -141,10 +131,7 @@ class InteractionDataset:
 
     def item_popularity(self) -> np.ndarray:
         """Training interaction count per item (used by popularity baselines)."""
-        counts = np.zeros(self.num_items, dtype=np.int64)
-        if self._train_pairs.size:
-            np.add.at(counts, self._train_pairs[:, 1], 1)
-        return counts
+        return np.bincount(self._train_pairs[:, 1], minlength=self.num_items)
 
     # ------------------------------------------------------------------
     # Splitting
@@ -166,25 +153,24 @@ class InteractionDataset:
         if not 0.0 < train_ratio < 1.0:
             raise ValueError(f"train_ratio must be in (0, 1), got {train_ratio}")
         rng = rng if rng is not None else seeded_rng()
-        by_user: Dict[int, List[int]] = {}
-        for user, item in pairs:
-            by_user.setdefault(int(user), []).append(int(item))
-        train_pairs: List[Tuple[int, int]] = []
-        test_pairs: List[Tuple[int, int]] = []
-        for user, items in by_user.items():
-            items = np.array(sorted(set(items)), dtype=np.int64)
-            rng.shuffle(items)
-            cutoff = max(1, int(round(train_ratio * len(items))))
-            cutoff = min(cutoff, len(items))
-            train_pairs.extend((user, item) for item in items[:cutoff])
-            test_pairs.extend((user, item) for item in items[cutoff:])
-        return InteractionDataset(num_users, num_items, train_pairs, test_pairs, name=name)
+        raw = np.asarray(pairs, dtype=np.int64).reshape(len(pairs), 2)
+        first_seen = np.unique(raw[:, 0], return_index=True)[1]
+        pairs = _unique_rows(raw)
+        counts = np.unique(pairs[:, 0], return_counts=True)[1]
+        # First-appearance user order fixes the RNG stream and which bad pair an error names.
+        pairs = pairs[np.argsort(np.repeat(first_seen, counts), kind="stable")]
+        counts = counts[np.argsort(first_seen)]
+        starts = np.cumsum(counts) - counts
+        for start, count in zip(starts.tolist(), counts.tolist()):
+            rng.shuffle(pairs[start: start + count, 1])
+        cutoffs = np.minimum(np.maximum(1, np.round(train_ratio * counts)), counts)
+        in_train = np.arange(len(pairs)) - np.repeat(starts, counts) < np.repeat(cutoffs, counts)
+        return InteractionDataset(num_users, num_items, pairs[in_train], pairs[~in_train], name=name)
 
     def subset_users(self, users: Iterable[int], name: Optional[str] = None) -> "InteractionDataset":
         """Restrict the dataset to a subset of users (item space unchanged)."""
-        keep = set(int(u) for u in users)
-        train = [(u, i) for u, i in self._train_pairs if u in keep]
-        test = [(u, i) for u, i in self._test_pairs if u in keep]
+        keep = np.fromiter(map(int, users), dtype=np.int64)
+        train, test = (p[np.isin(p[:, 0], keep)] for p in (self._train_pairs, self._test_pairs))
         return InteractionDataset(
             self.num_users, self.num_items, train, test, name=name or f"{self.name}-subset"
         )
@@ -195,3 +181,17 @@ class InteractionDataset:
             f"items={self.num_items}, train={self.num_train_interactions}, "
             f"test={self.num_test_interactions})"
         )
+
+
+def _unique_rows(pairs: np.ndarray) -> np.ndarray:
+    """Rows sorted by user then item, duplicates dropped."""
+    pairs = pairs[np.lexsort((pairs[:, 1], pairs[:, 0]))]
+    fresh = np.ones(len(pairs), dtype=bool)
+    fresh[1:] = (pairs[1:] != pairs[:-1]).any(axis=1)
+    return pairs[fresh]
+
+
+def _row(pairs: np.ndarray, offsets: List[int], user: int) -> np.ndarray:
+    user = int(user)
+    start, end = offsets[user: user + 2] if 0 <= user < len(offsets) - 1 else (0, 0)
+    return pairs[start:end, 1]

@@ -80,13 +80,13 @@ def load_movielens_file(
                 continue
             users_raw.append(fields[0])
             items_raw.append(fields[1])
-    user_index = {raw: index for index, raw in enumerate(sorted(set(users_raw)))}
-    item_index = {raw: index for index, raw in enumerate(sorted(set(items_raw)))}
-    pairs = [(user_index[u], item_index[i]) for u, i in zip(users_raw, items_raw)]
+    # Raw ids map to their rank in sorted order.
+    user_ids, users = np.unique(np.asarray(users_raw, dtype=str), return_inverse=True)
+    item_ids, items = np.unique(np.asarray(items_raw, dtype=str), return_inverse=True)
     return InteractionDataset.from_pairs(
-        num_users=len(user_index),
-        num_items=len(item_index),
-        pairs=pairs,
+        num_users=len(user_ids),
+        num_items=len(item_ids),
+        pairs=np.column_stack((users, items)),
         train_ratio=train_ratio,
         rng=rng,
         name=path.stem,

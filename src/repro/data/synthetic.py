@@ -143,17 +143,18 @@ def generate_dataset(
     """
     rng = rng if rng is not None else seeded_rng()
 
-    profile_sizes = _draw_profile_sizes(spec, rng)
+    sizes = np.clip(_draw_profile_sizes(spec, rng), 0, spec.num_items)
     popularity = _item_popularity_weights(spec)
 
-    pairs = []
-    for user in range(spec.num_users):
-        size = int(profile_sizes[user])
-        if size <= 0:
-            continue
-        size = min(size, spec.num_items)
-        items = rng.choice(spec.num_items, size=size, replace=False, p=popularity)
-        pairs.extend((user, int(item)) for item in items)
+    # One draw per user, in user order (the RNG stream every seeded dataset
+    # was generated with); the pair array is assembled once afterwards.
+    draws = [
+        rng.choice(spec.num_items, size=size, replace=False, p=popularity)
+        for size in sizes.tolist()
+        if size > 0
+    ]
+    users = np.repeat(np.arange(spec.num_users), sizes)
+    pairs = np.column_stack((users, np.concatenate([np.empty(0, dtype=np.int64), *draws])))
 
     return InteractionDataset.from_pairs(
         num_users=spec.num_users,

@@ -462,6 +462,45 @@ class TestLoadDuringRewrite:
         monkeypatch.setattr(checkpoint_module, "_read_manifest_text", vanishes_once)
         assert load_checkpoint(tmp_path / "ck").rounds_completed == 2
 
+    def test_path_missing_on_consecutive_reads_is_retried(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        from repro.artifacts import checkpoint as checkpoint_module
+
+        self._two_versions(tiny_dataset, tmp_path)
+        real_read = checkpoint_module._read_manifest_text
+        calls = {"n": 0}
+
+        def vanishes_twice(path):
+            calls["n"] += 1
+            if calls["n"] in (2, 3):  # the fresh read after the miss misses too
+                raise FileNotFoundError("mid-swap window")
+            return real_read(path)
+
+        monkeypatch.setattr(checkpoint_module, "_read_manifest_text", vanishes_twice)
+        assert load_checkpoint(tmp_path / "ck").rounds_completed == 2
+        assert calls["n"] == 5
+
+    def test_path_that_stays_missing_raises_file_not_found(
+        self, tiny_dataset, tmp_path, monkeypatch
+    ):
+        from repro.artifacts import checkpoint as checkpoint_module
+
+        self._two_versions(tiny_dataset, tmp_path)
+        real_read = checkpoint_module._read_manifest_text
+        calls = {"n": 0}
+
+        def vanishes_for_good(path):
+            calls["n"] += 1
+            if calls["n"] > 1:
+                raise FileNotFoundError("deleted mid-load")
+            return real_read(path)
+
+        monkeypatch.setattr(checkpoint_module, "_read_manifest_text", vanishes_for_good)
+        with pytest.raises(FileNotFoundError, match="stayed missing"):
+            load_checkpoint(tmp_path / "ck")
+        assert calls["n"] == 1 + checkpoint_module._LOAD_RETRIES
+
     def test_endless_rewrites_raise_instead_of_looping(
         self, tiny_dataset, tmp_path, monkeypatch
     ):
