@@ -78,7 +78,7 @@ def mini_spec(trainer: str = "ptf", **overrides) -> ExperimentSpec:
     shrink the server batch and raise the learning rate while keeping every
     protocol-level hyper-parameter (α, β, γ, λ, µ, negative ratio) at the
     paper's values.  ``overrides`` are flat field names (``alpha=50``,
-    ``dispersal_mode="random"``), exactly like the old config kwargs.
+    ``dispersal_mode="random"``), as :meth:`ExperimentSpec.from_flat` takes them.
     """
     defaults = dict(
         rounds=10,
@@ -100,7 +100,7 @@ def mini_spec(trainer: str = "ptf", **overrides) -> ExperimentSpec:
 
 
 def mini_ptf_config(**overrides) -> ExperimentSpec:
-    """Mini-scale PTF-FedRec spec (accepted anywhere PTFConfig used to be)."""
+    """Mini-scale PTF-FedRec spec, for direct ``PTFFedRec`` construction."""
     return mini_spec("ptf", **overrides)
 
 

@@ -48,9 +48,6 @@ Quickstart::
     result = repro.run(spec, dataset)
     print(result.final.as_dict())
     print(result.communication.average_client_round_kilobytes, "KB/client/round")
-
-The pre-spec entry point ``PTFFedRec(dataset, PTFConfig(...))`` still
-works; ``PTFConfig`` is deprecated and converts to an ``ExperimentSpec``.
 """
 
 from repro import (
@@ -70,7 +67,7 @@ from repro import (
     utils,
 )
 from repro.artifacts import load_checkpoint, save_checkpoint
-from repro.core import PTFConfig, PTFFedRec
+from repro.core import PTFFedRec
 from repro.engine import EngineSpec
 from repro.experiments import ExperimentSpec, RunResult, register_trainer, run
 
@@ -91,7 +88,6 @@ __all__ = [
     "sweep",
     "tensor",
     "utils",
-    "PTFConfig",
     "PTFFedRec",
     "EngineSpec",
     "ExperimentSpec",

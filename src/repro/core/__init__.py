@@ -10,11 +10,10 @@ each other's parameters.  They cooperate by exchanging prediction scores:
   back to each client (Section III-B3).
 
 Public entry point: :class:`PTFFedRec` drives the whole protocol,
-configured by a :class:`repro.experiments.ExperimentSpec` (the legacy
-:class:`PTFConfig` is kept as a deprecated shim that converts to a spec).
+configured by a :class:`repro.experiments.ExperimentSpec`.
 """
 
-from repro.core.config import PTFConfig, DefenseMode, DispersalMode, ensure_spec
+from repro.core.config import DefenseMode, DispersalMode, ensure_spec
 from repro.core.client import ClientUpload, PTFClient
 from repro.core.server import DispersedDataset, PTFServer
 from repro.core.privacy import (
@@ -27,7 +26,6 @@ from repro.core.attack import TopGuessAttack, AttackReport
 from repro.core.protocol import PTFFedRec, RoundSummary
 
 __all__ = [
-    "PTFConfig",
     "DefenseMode",
     "DispersalMode",
     "ensure_spec",

@@ -18,12 +18,12 @@ on a device.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Optional, Union
+from typing import TYPE_CHECKING, Optional
 
 # repro: disable=backend-purity -- client-side prediction/rating arrays are the paper's exchange format
 import numpy as np
 
-from repro.core.config import PTFConfig, ensure_spec, legacy_config_view
+from repro.core.config import ensure_spec
 from repro.engine.batch import ClientTrainingPlan
 from repro.core.privacy import apply_defense, sample_upload_items
 from repro.data.sampling import UserBatchSampler, sample_negative_items
@@ -74,7 +74,7 @@ class PTFClient:
         user_id: int,
         num_items: int,
         positive_items: np.ndarray,
-        config: Union["ExperimentSpec", PTFConfig, None],
+        config: Optional["ExperimentSpec"],
         rngs: RngFactory,
     ):
         self.user_id = int(user_id)
@@ -97,11 +97,6 @@ class PTFClient:
         # Server-provided soft labels (D̃_i); empty until the first dispersal.
         self.server_items: np.ndarray = np.empty(0, dtype=np.int64)
         self.server_scores: np.ndarray = np.empty(0, dtype=np.float64)
-
-    @property
-    def config(self) -> PTFConfig:
-        """Deprecated flat snapshot of :attr:`spec` (pre-1.1 compatibility)."""
-        return legacy_config_view(self.spec)
 
     # ------------------------------------------------------------------
     # Local training (Eq. 3)

@@ -1,21 +1,13 @@
-"""Legacy flat configuration for PTF-FedRec (paper Section IV-D).
+"""PTF-FedRec's mode vocabularies and config normalization.
 
-.. deprecated::
-    :class:`PTFConfig` is a backward-compatibility shim.  The canonical
-    configuration API is :class:`repro.experiments.ExperimentSpec`, whose
-    sections (model / protocol / privacy / dispersal / evaluation) carry
-    the same hyper-parameters; ``PTFConfig(...)`` now validates by
-    converting to a spec (:meth:`PTFConfig.to_spec`) and every core
-    component accepts either form.
-
-This module also keeps the mode vocabularies, which are shared by the shim
-and the spec sections.
+The configuration itself is :class:`repro.experiments.ExperimentSpec`; this
+module keeps the defense and dispersal vocabularies its sections validate
+against, and :func:`ensure_spec`, which the core components call on their
+``config`` argument.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Optional, Tuple
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard, typing only
@@ -42,134 +34,13 @@ DISPERSAL_MODES: Tuple[str, ...] = (
 )
 
 
-@dataclass
-class PTFConfig:
-    """Deprecated flat hyper-parameter bundle for PTF-FedRec.
-
-    Defaults follow the paper: embedding size 32, α=30, β sampled from
-    [0.1, 1], γ sampled from [1, 4], λ=0.1, µ=0.5, Adam with learning rate
-    0.001, 20 global rounds, 5 client / 2 server local epochs, batch sizes
-    64 (client) and 1024 (server), 1:4 negative sampling.
-
-    Use :class:`repro.experiments.ExperimentSpec` instead; this shim only
-    exists so pre-spec code keeps running.  Construction emits a
-    :class:`DeprecationWarning` and validates by building the equivalent
-    spec, so invalid values raise ``ValueError`` as before (a few
-    degenerate settings 1.0 silently accepted — zero batch sizes, a zero
-    learning rate — are now rejected too; zero-epoch ablations remain
-    valid).
-    """
-
-    # Models
-    client_model: str = "neumf"
-    server_model: str = "ngcf"
-    embedding_dim: int = 32
-    client_mlp_layers: Tuple[int, ...] = (64, 32, 16)
-    server_num_layers: int = 3
-
-    # Protocol
-    rounds: int = 20
-    client_fraction: float = 1.0
-    client_local_epochs: int = 5
-    server_epochs: int = 2
-    client_batch_size: int = 64
-    server_batch_size: int = 1024
-    learning_rate: float = 0.001
-    negative_ratio: int = 4
-
-    # Upload construction (Section III-B2)
-    defense: DefenseMode = "sampling+swapping"
-    beta_range: Tuple[float, float] = (0.1, 1.0)
-    gamma_range: Tuple[float, float] = (1.0, 4.0)
-    swap_rate: float = 0.1
-    ldp_scale: float = 0.2
-
-    # Dispersal construction (Section III-B3)
-    alpha: int = 30
-    mu: float = 0.5
-    dispersal_mode: DispersalMode = "confidence+hard"
-    graph_threshold: float = 0.5
-
-    # Reproducibility
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        warnings.warn(
-            "PTFConfig is deprecated; build a repro.experiments.ExperimentSpec "
-            "instead (PTFConfig(...).to_spec() performs the conversion).",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-        self.to_spec()  # validates every field with the spec's rules
-
-    def to_spec(self) -> "ExperimentSpec":
-        """Convert to the canonical :class:`ExperimentSpec` (trainer="ptf")."""
-        from repro.experiments.spec import ExperimentSpec
-
-        flat = {f.name: getattr(self, f.name) for f in fields(self)}
-        seed = flat.pop("seed")
-        return ExperimentSpec.from_flat(trainer="ptf", seed=seed, **flat)
-
-    @classmethod
-    def from_spec(cls, spec: "ExperimentSpec") -> "PTFConfig":
-        """Flatten a spec back into the legacy shape (compat accessors)."""
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            return cls(
-                client_model=spec.model.client_model,
-                server_model=spec.model.server_model,
-                embedding_dim=spec.model.embedding_dim,
-                client_mlp_layers=spec.model.client_mlp_layers,
-                server_num_layers=spec.model.server_num_layers,
-                rounds=spec.protocol.rounds,
-                client_fraction=spec.protocol.client_fraction,
-                client_local_epochs=spec.protocol.client_local_epochs,
-                server_epochs=spec.protocol.server_epochs,
-                client_batch_size=spec.protocol.client_batch_size,
-                server_batch_size=spec.protocol.server_batch_size,
-                learning_rate=spec.protocol.learning_rate,
-                negative_ratio=spec.protocol.negative_ratio,
-                defense=spec.privacy.defense,
-                beta_range=spec.privacy.beta_range,
-                gamma_range=spec.privacy.gamma_range,
-                swap_rate=spec.privacy.swap_rate,
-                ldp_scale=spec.privacy.ldp_scale,
-                alpha=spec.dispersal.alpha,
-                mu=spec.dispersal.mu,
-                dispersal_mode=spec.dispersal.mode,
-                graph_threshold=spec.dispersal.graph_threshold,
-                seed=spec.seed,
-            )
-
-
-def legacy_config_view(spec: "ExperimentSpec") -> PTFConfig:
-    """Deprecated flat snapshot of a spec, for pre-1.1 ``.config`` readers.
-
-    Backs the ``.config`` properties on :class:`~repro.core.client.PTFClient`,
-    :class:`~repro.core.server.PTFServer` and
-    :class:`~repro.core.protocol.PTFFedRec`.  The returned object is a
-    reconstruction: mutating it does not affect the running system.
-    """
-    warnings.warn(
-        ".config is deprecated; read the structured .spec instead "
-        "(e.g. spec.protocol.rounds rather than config.rounds).",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-    # Rebuilt on every access (no memo): specs are mutable, and a stale
-    # snapshot disagreeing with .spec would be worse than the rebuild cost
-    # on this deprecated path.
-    return PTFConfig.from_spec(spec)
-
-
 def ensure_spec(config: Optional[object]) -> "ExperimentSpec":
-    """Normalize any accepted config form to an :class:`ExperimentSpec`.
+    """Normalize a core component's ``config`` argument to an :class:`ExperimentSpec`.
 
     Core components (:class:`~repro.core.client.PTFClient`,
     :class:`~repro.core.server.PTFServer`,
     :class:`~repro.core.protocol.PTFFedRec`) call this so they accept an
-    ``ExperimentSpec``, a legacy ``PTFConfig``, or ``None`` (paper
-    defaults) interchangeably.
+    ``ExperimentSpec`` or ``None`` (the paper's defaults).
     """
     from repro.experiments.spec import ExperimentSpec
 
@@ -177,9 +48,6 @@ def ensure_spec(config: Optional[object]) -> "ExperimentSpec":
         return ExperimentSpec(trainer="ptf")
     if isinstance(config, ExperimentSpec):
         return config
-    if isinstance(config, PTFConfig):
-        return config.to_spec()
     raise TypeError(
-        "config must be an ExperimentSpec, a PTFConfig or None, "
-        f"got {type(config).__name__}"
+        f"config must be an ExperimentSpec or None, got {type(config).__name__}"
     )

@@ -3,27 +3,25 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Union
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 # repro: disable=backend-purity -- the PTF wire format exchanges plain prediction arrays, not tensors
 import numpy as np
 
 from repro.core.attack import AttackReport, TopGuessAttack
 from repro.core.client import ClientUpload, PTFClient
-from repro.core.config import PTFConfig, ensure_spec, legacy_config_view
+from repro.core.config import ensure_spec
 from repro.core.server import PTFServer
 from repro.data.dataset import InteractionDataset
-from repro.engine import create_scheduler
 from repro.engine.batch import stack_models
 from repro.eval.ranking import RankingEvaluator, RankingResult
 from repro.eval.scoring import DEFAULT_CHUNK_SIZE
 from repro.tensor import no_grad
-from repro.federated.communication import CommunicationLedger, prediction_triple_bytes
-from repro.scenario import RoundParticipation, ScenarioEngine
-from repro.utils.rng import RngFactory
+from repro.federated.communication import prediction_triple_bytes
+from repro.federated.driver import RoundDriver
+from repro.scenario import RoundParticipation
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.callbacks import Callback
     from repro.experiments.spec import ExperimentSpec
 
 
@@ -58,7 +56,7 @@ class RoundSummary:
         return logs
 
 
-class PTFFedRec:
+class PTFFedRec(RoundDriver):
     """The parameter transmission-free federated recommender system.
 
     Orchestrates clients and the central server through the four-step loop
@@ -67,32 +65,34 @@ class PTFFedRec:
     hard dispersal back to the clients.  Communication (prediction triples
     in both directions, nothing else) is metered in :attr:`ledger`.
 
-    Configured by a :class:`repro.experiments.ExperimentSpec` (a legacy
-    :class:`PTFConfig` is accepted and converted; ``None`` uses the paper's
-    defaults).  The spec's ``engine`` section chooses how the per-round
-    client work is executed (serial reference loop, vectorized batches, or
-    worker processes); all schedulers are bit-identical on a fixed seed.
-    ``engine.shard_size`` additionally streams the cohort (training and
-    the dispersal fan-out) through bounded shards; ``engine.payload`` is a
-    no-op here — the protocol's whole point is that its exchange
+    Configured by a :class:`repro.experiments.ExperimentSpec` (``None``
+    uses the paper's defaults).  The spec's ``engine`` section chooses how
+    the per-round client work is executed (serial reference loop or
+    vectorized batches); both schedulers are bit-identical on a fixed
+    seed.  ``engine.shard_size`` additionally streams the cohort (training
+    and the dispersal fan-out) through bounded shards; ``engine.payload``
+    is a no-op here — the protocol's whole point is that its exchange
     (prediction triples) is already sparse.
     """
 
     name = "PTF-FedRec"
+    selection_stream = "protocol-client-selection"
 
     def __init__(
         self,
         dataset: InteractionDataset,
-        config: Union["ExperimentSpec", PTFConfig, None] = None,
+        config: Optional["ExperimentSpec"] = None,
     ):
         from repro.tensor.backend import use_backend
 
-        self.dataset = dataset
         self.spec = ensure_spec(config)
-        self._rngs = RngFactory(self.spec.seed)
-        self.ledger = CommunicationLedger()
-        self.engine = create_scheduler(self.spec.engine)
-
+        super().__init__(
+            dataset,
+            seed=self.spec.seed,
+            backend=self.spec.backend,
+            engine=self.spec.engine,
+            scenario=self.spec.scenario,
+        )
         # Honor the spec's backend on direct construction too (the trainer
         # adapters also wrap — nesting the context is harmless), so server
         # and client models carry spec.backend's dtype either way.
@@ -110,32 +110,20 @@ class PTFFedRec:
                 )
                 for user in dataset.users
             }
-        self.scenario = ScenarioEngine(
-            self.spec.scenario, self._rngs, sorted(self.clients), dataset.num_items
-        )
-        # Buffered late uploads (async aggregation): each entry holds one
-        # straggler's prediction dataset and the round it folds into;
-        # serialized with the checkpoint so resume replays them.
-        self._stale_uploads: List[dict] = []
         self.round_summaries: List[RoundSummary] = []
         self.last_round_uploads: List[ClientUpload] = []
 
     @property
-    def config(self) -> PTFConfig:
-        """Deprecated flat snapshot of :attr:`spec` (pre-1.1 compatibility)."""
-        return legacy_config_view(self.spec)
+    def _protocol(self):
+        return self.spec.protocol
+
+    @property
+    def rounds_completed(self) -> int:
+        return len(self.round_summaries)
 
     # ------------------------------------------------------------------
     # Protocol rounds
     # ------------------------------------------------------------------
-    def _select_clients(self, round_index: int) -> List[int]:
-        users = sorted(self.clients)
-        if self.spec.protocol.client_fraction >= 1.0:
-            return users
-        rng = self._rngs.spawn_indexed("protocol-client-selection", round_index)
-        count = max(1, int(round(self.spec.protocol.client_fraction * len(users))))
-        return sorted(rng.choice(users, size=count, replace=False).tolist())
-
     def run_round(self, round_index: int) -> RoundSummary:
         """Execute one global round and return its summary.
 
@@ -144,78 +132,22 @@ class PTFFedRec:
         configured execution engine; the scheduler choice never changes the
         numbers, only how fast they are produced.
 
-        With a scenario configured, the round instead runs the
-        dynamic-participation path (:meth:`_run_round_scenario`): churned
-        clients skip the round, stragglers' uploads are discarded or
-        buffered, and the server trains on what actually arrived.
+        The round follows its :class:`~repro.scenario.RoundPlan`, which puts
+        every selected client on time unless a scenario is configured.
+        Churned clients do nothing; stragglers train and build their
+        upload, but it misses the server's aggregation — discarded in sync
+        mode, buffered until ``round_index + staleness`` in async mode.  A
+        buffered upload folds in with staleness-decayed weight
+        ``alpha / (staleness + 1)``, realized as deterministic record
+        subsampling (the server trains on ``max(1, round(weight * n))`` of
+        its ``n`` records, drawn from the dedicated ``"scenario-staleness"``
+        stream), so stale knowledge still arrives but moves the server
+        proportionally less.  The server disperses back to every client
+        whose upload reached this round — on-time and freshly-arrived stale
+        ones — restricted to the items that have streamed into the
+        catalogue so far.
         """
-        if self.scenario.enabled:
-            return self._run_round_scenario(round_index)
-        selected = self._select_clients(round_index)
-
-        losses = self.engine.train_ptf_clients(self.clients, selected, round_index)
-        client_losses: List[float] = [losses[user] for user in selected]
-        uploads = self.engine.build_ptf_uploads(self.clients, selected, round_index)
-        for upload in uploads:
-            self.ledger.record(
-                round_index,
-                upload.user_id,
-                "upload",
-                prediction_triple_bytes(upload.num_records),
-                description="client prediction dataset",
-            )
-
-        server_loss = self.server.train_on_uploads(uploads, round_index)
-
-        # Stream the dispersal fan-out shard by shard: dispersal
-        # construction reads only server state, so applying one shard
-        # before building the next bounds the in-flight dispersal buffer
-        # at O(shard_size) without changing a single record.
-        dispersed_total = 0
-        for upload_shard in self.engine.iter_shards(uploads):
-            dispersals = self.engine.build_ptf_dispersals(
-                self.server, upload_shard, round_index
-            )
-            for dispersal in dispersals:
-                self.clients[dispersal.user_id].receive_dispersal(dispersal.items, dispersal.scores)
-                dispersed_total += dispersal.num_records
-                self.ledger.record(
-                    round_index,
-                    dispersal.user_id,
-                    "download",
-                    prediction_triple_bytes(dispersal.num_records),
-                    description="server dispersed predictions",
-                )
-
-        summary = RoundSummary(
-            round_index=round_index,
-            num_clients=len(selected),
-            client_loss=float(np.mean(client_losses)) if client_losses else 0.0,
-            server_loss=server_loss,
-            uploaded_records=sum(upload.num_records for upload in uploads),
-            dispersed_records=dispersed_total,
-        )
-        self.round_summaries.append(summary)
-        self.last_round_uploads = uploads
-        return summary
-
-    def _run_round_scenario(self, round_index: int) -> RoundSummary:
-        """One global round under fault injection.
-
-        Per the round's :class:`~repro.scenario.RoundPlan`: churned clients
-        do nothing, stragglers train and build their upload but it misses
-        the server's aggregation — discarded in sync mode, buffered until
-        ``round_index + staleness`` in async mode.  A buffered upload folds
-        in with staleness-decayed weight ``alpha / (staleness + 1)``,
-        realized as deterministic record subsampling (the server trains on
-        ``max(1, round(weight * n))`` of its ``n`` records, drawn from the
-        dedicated ``"scenario-staleness"`` stream), so stale knowledge
-        still arrives but moves the server proportionally less.  The
-        server disperses back to every client whose upload reached this
-        round — on-time and freshly-arrived stale ones — restricted to the
-        items that have streamed into the catalogue so far.
-        """
-        plan = self.scenario.plan_round(self._select_clients(round_index), round_index)
+        plan = self._plan_round(round_index)
 
         losses = self.engine.train_ptf_clients(
             self.clients, list(plan.trained), round_index
@@ -236,28 +168,26 @@ class PTFFedRec:
                 description="client prediction dataset",
             )
         for user, upload in zip(stale_users, stale_uploads):
-            self._stale_uploads.append({
+            self._stale_buffer.append({
                 "due_round": round_index + plan.stale[user],
                 "origin_round": round_index,
                 "staleness": plan.stale[user],
                 "upload": upload,
             })
-
-        # Fold in buffered uploads that are due this round, FIFO.
-        applied_uploads: List[ClientUpload] = []
-        pending_buffer = []
-        for entry in self._stale_uploads:
-            if int(entry["due_round"]) > round_index:
-                pending_buffer.append(entry)
-                continue
-            applied_uploads.append(self._decayed_upload(
+        applied_uploads = [
+            self._decayed_upload(
                 entry["upload"], int(entry["staleness"]), int(entry["origin_round"])
-            ))
-        self._stale_uploads = pending_buffer
+            )
+            for entry in self._pop_due(round_index)
+        ]
 
         pool = uploads + applied_uploads
         server_loss = self.server.train_on_uploads(pool, round_index)
 
+        # Stream the dispersal fan-out shard by shard: dispersal
+        # construction reads only server state, so applying one shard
+        # before building the next bounds the in-flight dispersal buffer
+        # at O(shard_size) without changing a single record.
         dispersed_total = 0
         item_mask = self.scenario.arrived_item_mask(round_index)
         for upload_shard in self.engine.iter_shards(pool):
@@ -282,17 +212,14 @@ class PTFFedRec:
             server_loss=server_loss,
             uploaded_records=sum(upload.num_records for upload in pool),
             dispersed_records=dispersed_total,
-            participation=RoundParticipation(
-                selected=len(plan.selected),
-                completed=len(plan.on_time),
-                dropped=len(plan.dropped) + len(plan.lost),
-                straggled=len(plan.stale) + len(plan.lost),
-                stale_applied=len(applied_uploads),
-            ),
+            participation=self._participation(plan, len(applied_uploads)),
         )
         self.round_summaries.append(summary)
         self.last_round_uploads = pool
         return summary
+
+    def _round_logs(self, summary: RoundSummary) -> Dict[str, float]:
+        return summary.as_logs()
 
     def _decayed_upload(
         self, upload: ClientUpload, staleness: int, origin_round: int
@@ -314,34 +241,6 @@ class PTFFedRec:
             scores=upload.scores[index],
             true_positive_items=upload.true_positive_items,
         )
-
-    def fit(
-        self,
-        rounds: Optional[int] = None,
-        callbacks: Optional[Sequence["Callback"]] = None,
-    ) -> "PTFFedRec":
-        """Run the configured number of global rounds.
-
-        ``callbacks`` receive the shared training hooks
-        (:meth:`on_round_start`, :meth:`on_round_end` with the round's
-        summary metrics, :meth:`on_fit_end`) and may stop training early.
-        """
-        from repro.experiments.callbacks import CallbackList
-        from repro.tensor.backend import use_backend
-
-        hooks = CallbackList(callbacks)
-        total = rounds if rounds is not None else self.spec.protocol.rounds
-        start = len(self.round_summaries)
-        hooks.on_fit_start(self)
-        with use_backend(self.spec.backend):
-            for round_index in range(start, start + total):
-                hooks.on_round_start(self, round_index)
-                summary = self.run_round(round_index)
-                hooks.on_round_end(self, round_index, summary.as_logs())
-                if hooks.should_stop:
-                    break
-        hooks.on_fit_end(self)
-        return self
 
     # ------------------------------------------------------------------
     # Serialization (used by repro.artifacts checkpoints)
@@ -380,7 +279,7 @@ class PTFFedRec:
                     "scores": entry["upload"].scores,
                     "true_positive_items": entry["upload"].true_positive_items,
                 }
-                for entry in self._stale_uploads
+                for entry in self._stale_buffer
             ],
             "ledger": self.ledger.state_dict(),
             "server": self.server.state_dict(),
@@ -420,7 +319,7 @@ class PTFFedRec:
             )
             for entry in state["round_summaries"]
         ]
-        self._stale_uploads = [
+        self._stale_buffer = [
             {
                 "due_round": int(entry["due_round"]),
                 "origin_round": int(entry["origin_round"]),

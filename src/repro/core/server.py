@@ -21,13 +21,13 @@ the uploads, as described in DESIGN.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Set, Tuple
 
 # repro: disable=backend-purity -- server-side aggregation over uploaded prediction arrays
 import numpy as np
 
 from repro.core.client import ClientUpload
-from repro.core.config import PTFConfig, ensure_spec, legacy_config_view
+from repro.core.config import ensure_spec
 from repro.data.loaders import BatchIterator
 from repro.models.base import Recommender
 from repro.models.factory import create_model
@@ -66,7 +66,7 @@ class PTFServer:
         self,
         num_users: int,
         num_items: int,
-        config: Union["ExperimentSpec", PTFConfig, None],
+        config: Optional["ExperimentSpec"],
         rngs: RngFactory,
     ):
         self.num_users = int(num_users)
@@ -91,11 +91,6 @@ class PTFServer:
         # (only used when the server model is graph-based).
         self._graph_pairs: Set[Tuple[int, int]] = set()
         self.loss_history: List[float] = []
-
-    @property
-    def config(self) -> PTFConfig:
-        """Deprecated flat snapshot of :attr:`spec` (pre-1.1 compatibility)."""
-        return legacy_config_view(self.spec)
 
     # ------------------------------------------------------------------
     # Training on uploads (Eq. 5)

@@ -13,8 +13,7 @@ Either way, scoring ``U`` users costs a handful of NumPy calls instead of
 
 This module lives under :mod:`repro.eval` so the training-time evaluator
 and the serving tier (:mod:`repro.serve`) share one cohort scorer without
-the evaluator depending on the serving package; ``repro.serve.scoring``
-re-exports it for compatibility.
+the evaluator depending on the serving package.
 
 The all-pairs fallback processes users in chunks of ``chunk_size`` so the
 flattened ``(chunk x num_items)`` pair arrays — and the tensor graph's

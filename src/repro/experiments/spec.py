@@ -28,10 +28,6 @@ JSON, validates its fields on construction, and names the trainer that
 16
 >>> ExperimentSpec.from_json(spec.to_json()) == spec
 True
-
-The legacy monolithic :class:`repro.core.config.PTFConfig` is retained as
-a deprecated shim whose :meth:`~repro.core.config.PTFConfig.to_spec`
-produces the equivalent ``ExperimentSpec``.
 """
 
 from __future__ import annotations
@@ -254,14 +250,14 @@ _SECTION_TYPES: Dict[str, type] = {
     "scenario": ScenarioSpec,
 }
 
-#: Flat field name -> (section name, attribute name).  Lets callers (and the
-#: PTFConfig shim) address any spec field without spelling out the section.
+#: Flat field name -> (section name, attribute name).  Lets callers address
+#: any spec field without spelling out the section.
 _FLAT_FIELDS: Dict[str, Tuple[str, str]] = {
     f.name: (section, f.name)
     for section, section_cls in _SECTION_TYPES.items()
     for f in fields(section_cls)
 }
-_FLAT_FIELDS["dispersal_mode"] = ("dispersal", "mode")  # legacy PTFConfig name
+_FLAT_FIELDS["dispersal_mode"] = ("dispersal", "mode")  # reads better than bare "mode"
 
 
 def _section_from_dict(section_cls: type, data: Mapping[str, Any]):
@@ -367,10 +363,9 @@ class ExperimentSpec:
                   backend: Optional[str] = None, **overrides) -> "ExperimentSpec":
         """Build a spec from flat field names (``alpha=30, defense="ldp"``).
 
-        Every section field can be addressed by its bare name; the legacy
-        ``dispersal_mode`` alias maps to ``dispersal.mode``.  This is the
-        conversion path for :meth:`repro.core.config.PTFConfig.to_spec` and
-        a convenient way to write sweeps over a handful of fields.
+        Every section field can be addressed by its bare name; the
+        ``dispersal_mode`` alias maps to ``dispersal.mode``.  A convenient
+        way to write tests and sweeps over a handful of fields.
         """
         sections: Dict[str, Dict[str, Any]] = {name: {} for name in _SECTION_TYPES}
         for key, value in overrides.items():

@@ -50,8 +50,8 @@ _UNSET = object()
 class TrainerAdapter:
     """Uniform facade over one training paradigm.
 
-    Subclasses implement :meth:`_build` (spec + dataset -> system) and
-    :meth:`rounds_completed`; the rest of the interface is shared.
+    Subclasses implement :meth:`_build` (spec + dataset -> system); the
+    rest of the interface is shared.
 
     The adapter owns the spec's *backend policy*: model construction,
     training and evaluation all run under ``use_backend(spec.backend)``,
@@ -105,7 +105,7 @@ class TrainerAdapter:
             )
 
     def rounds_completed(self) -> int:
-        raise NotImplementedError
+        return self.system.rounds_completed
 
     # ------------------------------------------------------------------
     # Artifacts (checkpointing + serving)
@@ -160,9 +160,6 @@ class PTFTrainer(TrainerAdapter):
     def _build(self) -> PTFFedRec:
         return PTFFedRec(self.dataset, self.spec)
 
-    def rounds_completed(self) -> int:
-        return len(self.system.round_summaries)
-
     def serving_model(self):
         return self.system.server.model
 
@@ -194,9 +191,6 @@ class _ParameterTransmissionTrainer(TrainerAdapter):
             scenario=spec.scenario,
         )
         return self.system_cls(self.dataset, config)
-
-    def rounds_completed(self) -> int:
-        return self.system.rounds_completed
 
 
 @register_trainer("fcf")

@@ -19,29 +19,22 @@ legs for the communication ledger.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Mapping, Optional, Sequence
+from typing import Dict, Mapping, Optional, Sequence
 
 # repro: disable=backend-purity -- FedAvg aggregates state_dict ndarrays in parameter-registration order
 import numpy as np
 
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.experiments.callbacks import Callback
-
 from repro.data.dataset import InteractionDataset
 from repro.data.sampling import UserBatchSampler
-from repro.engine import ClientTrainingPlan, create_scheduler
+from repro.engine import ClientTrainingPlan
 from repro.engine.spec import EngineSpec
 from repro.eval.ranking import RankingEvaluator, RankingResult
 from repro.eval.scoring import DEFAULT_CHUNK_SIZE
-from repro.federated.communication import (
-    FLOAT_BYTES,
-    CommunicationLedger,
-    sparse_parameter_bytes,
-)
+from repro.federated.communication import FLOAT_BYTES, sparse_parameter_bytes
+from repro.federated.driver import RoundDriver
 from repro.models.base import Recommender
 from repro.nn.losses import PointwiseBCELoss
 from repro.optim import SGD
-from repro.scenario import RoundParticipation, ScenarioEngine
 from repro.scenario.spec import ScenarioSpec
 from repro.tensor.sparse import SparseDelta
 from repro.utils.rng import RngFactory
@@ -54,8 +47,7 @@ class FederatedConfig:
     ``engine`` optionally selects the execution scheduler for the per-round
     client loop (see :class:`repro.engine.EngineSpec`); ``None`` uses the
     serial reference path.  ``backend`` names the tensor backend the
-    driver's model and local updates compute under (worker processes
-    re-activate it explicitly, so the policy survives spawn-based pools).
+    driver's model and local updates compute under.
     ``scenario`` injects dynamic-federation faults (churn, stragglers,
     async aggregation, streaming arrivals — see
     :class:`repro.scenario.ScenarioSpec`); ``None`` injects nothing.
@@ -145,22 +137,6 @@ def run_local_plan(model: Recommender, config: FederatedConfig, user: int,
     return total_loss / max(batches, 1)
 
 
-def fedavg_local_training(
-    model: Recommender,
-    rngs: RngFactory,
-    config: FederatedConfig,
-    user: int,
-    positives: np.ndarray,
-    num_items: int,
-    round_index: int,
-) -> float:
-    """Plan and run one client's local update (used by worker processes)."""
-    plan = build_local_plan(config, rngs, user, positives, num_items, round_index)
-    if plan is None:
-        return 0.0
-    return run_local_plan(model, config, user, plan)
-
-
 def load_public_state(model: Recommender, public_names, state) -> None:
     """Overwrite the model's public parameters with ``state``."""
     for name, parameter in model.named_parameters():
@@ -168,7 +144,7 @@ def load_public_state(model: Recommender, public_names, state) -> None:
             parameter.data = state[name].copy()
 
 
-class ParameterTransmissionFedRec:
+class ParameterTransmissionFedRec(RoundDriver):
     """Base driver for FedAvg-style federated recommenders."""
 
     name = "parameter-transmission-fedrec"
@@ -176,25 +152,25 @@ class ParameterTransmissionFedRec:
     def __init__(self, dataset: InteractionDataset, config: Optional[FederatedConfig] = None):
         from repro.tensor.backend import use_backend
 
-        self.dataset = dataset
         self.config = config if config is not None else FederatedConfig()
-        self._rngs = RngFactory(self.config.seed)
-        self.ledger = CommunicationLedger()
+        super().__init__(
+            dataset,
+            seed=self.config.seed,
+            backend=self.config.backend,
+            engine=self.config.engine,
+            scenario=self.config.scenario,
+        )
         # The driver honors its config's backend even when constructed
         # directly (the trainer adapters wrap too — nesting is harmless),
         # so the global model's dtype always matches config.backend.
         with use_backend(self.config.backend):
             self.model = self._build_global_model()
         self._public_names = set(self._public_parameter_names())
-        self.engine = create_scheduler(self.config.engine)
-        self.scenario = ScenarioEngine(
-            self.config.scenario, self._rngs, dataset.users, dataset.num_items
-        )
-        # Buffered late payloads (async aggregation): each entry carries the
-        # summed deltas of one round's stale cohort plus the round they fold
-        # into; serialized with the checkpoint so resume replays them.
-        self._stale_buffer: List[Dict[str, object]] = []
         self.rounds_completed = 0
+
+    @property
+    def _protocol(self) -> FederatedConfig:
+        return self.config
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -255,14 +231,6 @@ class ParameterTransmissionFedRec:
     # ------------------------------------------------------------------
     # Federated round
     # ------------------------------------------------------------------
-    def _select_clients(self, round_index: int) -> List[int]:
-        users = self.dataset.users
-        if self.config.client_fraction >= 1.0:
-            return list(users)
-        rng = self._rngs.spawn_indexed("client-selection", round_index)
-        count = max(1, int(round(self.config.client_fraction * len(users))))
-        return sorted(rng.choice(users, size=count, replace=False).tolist())
-
     def _public_state(self) -> Dict[str, np.ndarray]:
         return {
             name: parameter.data.copy()
@@ -293,61 +261,6 @@ class ParameterTransmissionFedRec:
             return 0.0
         return run_local_plan(self.model, self.config, user, plan)
 
-    def run_round(self, round_index: int) -> Dict[str, float]:
-        """Execute one full federated round.
-
-        The per-client local updates run through the configured execution
-        engine (serial or batched — bit-identical).
-        Aggregation is coordinate-wise federated averaging over the clients
-        that actually updated each entry: a client that never interacted
-        with an item contributes nothing to that item's embedding, which is
-        the standard practice in FedRec systems (only interacting users
-        hold gradients for an item).
-
-        With a scenario configured, the round instead runs the
-        dynamic-participation path (:meth:`_run_round_scenario`): churned
-        clients are skipped, stragglers' payloads are discarded or buffered,
-        and aggregation renormalizes over what actually arrived.
-
-        Under ``payload="sparse"`` the upload leg is metered from each
-        client's actual touched-row statistics (:meth:`Scheduler.pop_touched`)
-        instead of the flat full-table price — the download leg stays a
-        dense broadcast of the public parameters.
-        """
-        if self.scenario.enabled:
-            return self._run_round_scenario(round_index)
-        selected = self._select_clients(round_index)
-        global_state = self._public_state()
-        download_bytes = self._download_bytes()
-        upload_bytes = self._upload_bytes()
-
-        losses, delta_sum, update_count = self.engine.train_fedavg_clients(
-            self, selected, round_index, global_state
-        )
-        touched = self.engine.pop_touched()
-        client_losses: List[float] = [losses[user] for user in selected]
-        for user in selected:
-            self.ledger.record(round_index, user, "download", download_bytes,
-                               description=f"{self.name} public parameters")
-            if user in touched:
-                self.ledger.record(round_index, user, "upload",
-                                   self._upload_bytes_sparse(touched[user]),
-                                   description=f"{self.name} sparse parameter update")
-            else:
-                self.ledger.record(round_index, user, "upload", upload_bytes,
-                                   description=f"{self.name} public parameter update")
-
-        new_state = {}
-        for name, base in global_state.items():
-            count = np.maximum(update_count[name], 1.0)
-            new_state[name] = base + delta_sum[name] / count
-        self._load_public_state(new_state)
-        self.rounds_completed += 1
-        return {
-            "num_clients": len(selected),
-            "client_loss": float(np.mean(client_losses)) if client_losses else 0.0,
-        }
-
     def _encode_buffered(self, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
         """Encode a stale cohort's summed payload for buffering.
 
@@ -360,19 +273,34 @@ class ParameterTransmissionFedRec:
             return dict(arrays)
         return {name: SparseDelta.from_dense(value) for name, value in arrays.items()}
 
-    def _run_round_scenario(self, round_index: int) -> Dict[str, float]:
-        """One round under fault injection (partial / async aggregation).
+    def run_round(self, round_index: int) -> Dict[str, float]:
+        """Execute one full federated round; returns its ``logs``.
 
-        Training still runs through the configured engine, group by group:
-        the on-time cohort aggregates immediately with weight 1; async
+        The per-client local updates run through the configured execution
+        engine (serial or batched — bit-identical), group by group, as the
+        round's :class:`~repro.scenario.RoundPlan` directs; without a
+        scenario every selected client is on time.  Aggregation is
+        coordinate-wise federated averaging over the clients that actually
+        updated each entry: a client that never interacted with an item
+        contributes nothing to that item's embedding, which is the standard
+        practice in FedRec systems (only interacting users hold gradients
+        for an item).
+
+        The on-time cohort aggregates immediately with weight 1; async
         stragglers train now but their summed deltas are buffered and
         folded into round ``round_index + staleness`` with weight
         ``staleness_alpha / (staleness + 1)``; sync (or over-stale)
         stragglers train — the device did the work — but their payload is
-        discarded.  Weighted coordinate-wise averaging renormalizes by the
-        weighted update count, so partial cohorts never dilute the update.
+        discarded; churned clients do nothing.  Weighted averaging
+        renormalizes by the weighted update count, so partial cohorts never
+        dilute the update.
+
+        Under ``payload="sparse"`` the upload leg is metered from each
+        client's actual touched-row statistics (:meth:`Scheduler.pop_touched`)
+        instead of the flat full-table price — the download leg stays a
+        dense broadcast of the public parameters.
         """
-        plan = self.scenario.plan_round(self._select_clients(round_index), round_index)
+        plan = self._plan_round(round_index)
         global_state = self._public_state()
         download_bytes = self._download_bytes()
         upload_bytes = self._upload_bytes()
@@ -407,16 +335,12 @@ class ParameterTransmissionFedRec:
             train_group(plan.lost)
         touched = self.engine.pop_touched()
 
-        # Fold in buffered payloads that are due this round, FIFO.  Sparse
-        # runs buffer rows-touched payloads; folding them adds, at the
-        # encoded rows, the same weighted values the dense fold adds — the
-        # skipped rows would have contributed exactly ``weight * 0.0``.
+        # Fold in buffered payloads that are due this round.  Sparse runs
+        # buffer rows-touched payloads; folding them adds, at the encoded
+        # rows, the same weighted values the dense fold adds — the skipped
+        # rows would have contributed exactly ``weight * 0.0``.
         applied = 0
-        pending_buffer = []
-        for entry in self._stale_buffer:
-            if int(entry["due_round"]) > round_index:
-                pending_buffer.append(entry)
-                continue
+        for entry in self._pop_due(round_index):
             weight = self.scenario.staleness_weight(int(entry["staleness"]))
             for name in weighted_sum:
                 dsum_value = entry["delta_sum"][name]
@@ -430,7 +354,6 @@ class ParameterTransmissionFedRec:
                 else:
                     weighted_count[name] += weight * dcount_value
             applied += len(entry["users"])
-        self._stale_buffer = pending_buffer
 
         uploaded = set(plan.on_time) | set(plan.stale)
         for user in plan.selected:
@@ -456,45 +379,14 @@ class ParameterTransmissionFedRec:
         self.rounds_completed += 1
 
         client_losses = [losses[user] for user in plan.trained]
-        participation = RoundParticipation(
-            selected=len(plan.selected),
-            completed=len(plan.on_time),
-            dropped=len(plan.dropped) + len(plan.lost),
-            straggled=len(plan.stale) + len(plan.lost),
-            stale_applied=applied,
-        )
-        return {
+        logs = {
             "num_clients": len(plan.selected),
             "client_loss": float(np.mean(client_losses)) if client_losses else 0.0,
-            **participation.as_logs(),
         }
-
-    def fit(
-        self,
-        rounds: Optional[int] = None,
-        callbacks: Optional[Sequence["Callback"]] = None,
-    ) -> "ParameterTransmissionFedRec":
-        """Run the configured number of federated rounds.
-
-        ``callbacks`` receive the shared training hooks and may stop the
-        run early (see :mod:`repro.experiments.callbacks`).
-        """
-        from repro.experiments.callbacks import CallbackList
-        from repro.tensor.backend import use_backend
-
-        hooks = CallbackList(callbacks)
-        total = rounds if rounds is not None else self.config.rounds
-        start = self.rounds_completed
-        hooks.on_fit_start(self)
-        with use_backend(self.config.backend):
-            for round_index in range(start, start + total):
-                hooks.on_round_start(self, round_index)
-                logs = self.run_round(round_index)
-                hooks.on_round_end(self, round_index, logs)
-                if hooks.should_stop:
-                    break
-        hooks.on_fit_end(self)
-        return self
+        participation = self._participation(plan, applied)
+        if participation is not None:
+            logs.update(participation.as_logs())
+        return logs
 
     # ------------------------------------------------------------------
     # Serialization (used by repro.artifacts checkpoints)

@@ -20,8 +20,9 @@ Determinism contract
   execution order: both schedulers see the same event stream, and a
   checkpoint resume replays the remaining rounds' events bit-identically
   (the stream is re-derived, not stored).
-* With the default (disabled) spec the drivers skip the scenario path
-  entirely and remain bit-identical to a scenario-free build.
+* With the default (disabled) spec :meth:`ScenarioEngine.plan_round`
+  makes no draw and puts every selected client on time, so the drivers'
+  single round body computes exactly what a scenario-free round would.
 """
 
 from __future__ import annotations
@@ -71,14 +72,6 @@ class RoundPlan:
         """
         skip = set(self.dropped)
         return tuple(user for user in self.selected if user not in skip)
-
-    @property
-    def straggled(self) -> Tuple[int, ...]:
-        """Every client that missed the deadline (buffered or lost)."""
-        kept = set(self.stale)
-        return tuple(
-            user for user in self.selected if user in kept or user in set(self.lost)
-        )
 
     def stale_groups(self) -> List[Tuple[int, List[int]]]:
         """Async stragglers grouped by staleness, ``(staleness, users)``.

@@ -18,9 +18,9 @@ field of :class:`~repro.federated.base.FederatedConfig`).  It describes
   and arrives over the first ``*_arrival_rounds`` rounds.
 
 The default spec injects nothing: every trainer and every execution
-scheduler is bit-identical to a scenario-free run (the drivers do not
-even enter the scenario code path).  With faults enabled, all events are
-drawn from dedicated RNG streams (``"scenario-dropout"``,
+scheduler is bit-identical to a scenario-free run (its round plans make
+no draw and put every selected client on time).  With faults enabled,
+all events are drawn from dedicated RNG streams (``"scenario-dropout"``,
 ``"scenario-latency"``, ``"scenario-arrivals"``) keyed by ``(seed,
 stream, client, round)``, so the injected event stream is reproducible,
 independent of the execution scheduler, and never perturbs client
@@ -127,7 +127,8 @@ class ScenarioSpec:
         """Whether this spec injects any event at all.
 
         Disabled specs guarantee bit-identical behavior to a scenario-free
-        run: the drivers never enter the scenario code path.
+        run: their round plans make no draw, put every selected client on
+        time, and the rounds log no participation counts.
         """
         return (
             self.dropout > 0.0

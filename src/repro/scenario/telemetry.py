@@ -31,8 +31,9 @@ class RoundParticipation:
     ``completed``
         Clients whose payload made this round's aggregation on time.
     ``dropped``
-        Clients that contributed nothing: churned mid-round, failed
-        permanently in a worker process, or exceeded ``max_staleness``.
+        Clients that contributed nothing: churned mid-round, or missed
+        the deadline with the payload discarded (sync mode, or beyond
+        ``max_staleness``).
     ``straggled``
         Clients that missed the round deadline (whether their payload was
         buffered for a later round or discarded).

@@ -37,9 +37,9 @@ Quickstart::
     top10 = service.recommend([0, 1, 2], k=10)   # (3, 10) ranked item ids
 """
 
+from repro.eval.scoring import batch_scores
 from repro.serve.gateway import GatewayStats, GatewayTicket, Rejected, ServingGateway
 from repro.serve.recommender import Recommender
-from repro.serve.scoring import batch_scores
 
 __all__ = [
     "Recommender",

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import pickle
-import warnings
 
 import numpy as np
 import pytest
@@ -25,7 +24,6 @@ from repro.artifacts import (
     save_checkpoint,
     unflatten_state,
 )
-from repro.core import PTFConfig
 from repro.experiments import (
     CommunicationSummary,
     ExperimentSpec,
@@ -374,29 +372,6 @@ class TestLegacyEngineFields:
         manifest_path.write_text(json.dumps(manifest), encoding="utf-8")
         with pytest.raises(ValueError, match="multiprocess.*removed.*batched"):
             load_checkpoint(tmp_path / "ck")
-
-
-# ----------------------------------------------------------------------
-# PTFConfig deprecation contract (satellite: pinned from PR 1)
-# ----------------------------------------------------------------------
-class TestPTFConfigDeprecationContract:
-    def test_construction_emits_deprecation_warning_at_call_site(self):
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            PTFConfig(rounds=2)
-        deprecations = [w for w in caught if w.category is DeprecationWarning]
-        assert len(deprecations) == 1
-        message = str(deprecations[0].message)
-        assert "PTFConfig is deprecated" in message
-        assert "ExperimentSpec" in message  # the migration hint
-        # stacklevel must point at the *caller*, so users can find the site.
-        assert deprecations[0].filename == __file__
-
-    def test_construction_raises_under_error_filter(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            with pytest.raises(DeprecationWarning):
-                PTFConfig()
 
 
 # ----------------------------------------------------------------------

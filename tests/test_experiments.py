@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import repro
-from repro.core import PTFConfig, PTFFedRec, ensure_spec
+from repro.core import PTFFedRec, ensure_spec
 from repro.experiments import (
     Callback,
     EarlyStopping,
@@ -153,78 +153,22 @@ class TestSpecValidation:
 
 
 # ----------------------------------------------------------------------
-# PTFConfig backward-compat shim
+# What the retired PTFConfig shim guaranteed, now pinned on ExperimentSpec
 # ----------------------------------------------------------------------
 class TestPTFConfigShim:
-    def test_construction_warns_deprecation(self):
-        with pytest.warns(DeprecationWarning, match="PTFConfig is deprecated"):
-            PTFConfig()
-
-    def test_to_spec_preserves_every_field(self):
-        with pytest.warns(DeprecationWarning):
-            config = PTFConfig(
-                rounds=3, alpha=12, mu=0.25, dispersal_mode="random+hard",
-                defense="sampling", swap_rate=0.2, embedding_dim=8,
-                client_mlp_layers=(16, 8), client_fraction=0.5, seed=99,
-            )
-        spec = config.to_spec()
-        assert spec.trainer == "ptf"
-        assert spec.seed == 99
-        assert spec.protocol.rounds == 3
-        assert spec.protocol.client_fraction == 0.5
-        assert spec.dispersal.alpha == 12
-        assert spec.dispersal.mu == 0.25
-        assert spec.dispersal.mode == "random+hard"
-        assert spec.privacy.defense == "sampling"
-        assert spec.privacy.swap_rate == 0.2
-        assert spec.model.embedding_dim == 8
-        assert spec.model.client_mlp_layers == (16, 8)
-
     def test_invalid_values_still_raise_value_error(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                PTFConfig(dispersal_mode="telepathy")
+        with pytest.raises(ValueError):
+            ExperimentSpec.from_flat(trainer="ptf", dispersal_mode="telepathy")
 
     def test_zero_epoch_ablations_still_accepted(self, micro_dataset):
-        # 1.0 allowed skipping a training leg entirely; the shim (and the
-        # spec) must keep accepting it — the loop just runs zero times.
-        with pytest.warns(DeprecationWarning):
-            config = PTFConfig(rounds=1, client_local_epochs=1, server_epochs=0,
-                               embedding_dim=8, client_mlp_layers=(16, 8),
-                               server_num_layers=2, alpha=5)
-        system = PTFFedRec(micro_dataset, config).fit()
+        # An ablation may skip a training leg entirely; the spec must
+        # accept it — the loop just runs zero times.
+        spec = ExperimentSpec.from_flat(
+            trainer="ptf", rounds=1, client_local_epochs=1, server_epochs=0,
+            embedding_dim=8, client_mlp_layers=(16, 8), server_num_layers=2, alpha=5,
+        )
+        system = PTFFedRec(micro_dataset, spec).fit()
         assert system.round_summaries[0].server_loss == 0.0
-
-    def test_ptffedrec_accepts_legacy_config(self, micro_dataset):
-        with pytest.warns(DeprecationWarning):
-            config = PTFConfig(rounds=1, client_local_epochs=1, server_epochs=1,
-                               embedding_dim=8, client_mlp_layers=(16, 8),
-                               server_num_layers=2, alpha=5)
-        system = PTFFedRec(micro_dataset, config)
-        system.fit()
-        assert len(system.round_summaries) == 1
-
-    def test_legacy_and_spec_runs_are_identical(self, micro_dataset):
-        with pytest.warns(DeprecationWarning):
-            config = PTFConfig(rounds=1, client_local_epochs=1, server_epochs=1,
-                               embedding_dim=8, client_mlp_layers=(16, 8),
-                               server_num_layers=2, alpha=5, seed=7)
-        legacy = PTFFedRec(micro_dataset, config).fit()
-        modern = PTFFedRec(micro_dataset, config.to_spec()).fit()
-        assert legacy.round_summaries == modern.round_summaries
-
-    def test_legacy_config_attribute_still_readable(self, micro_dataset):
-        # Pre-1.1 code read flat fields off system.config; the property now
-        # reconstructs a PTFConfig snapshot from the spec (and warns).
-        system = PTFFedRec(micro_dataset, tiny_spec("ptf", rounds=3))
-        with pytest.warns(DeprecationWarning, match=".config is deprecated"):
-            config = system.config
-        assert config.rounds == 3
-        assert config.alpha == 8
-        assert config.dispersal_mode == system.spec.dispersal.mode
-        with pytest.warns(DeprecationWarning):
-            assert system.server.config.embedding_dim == 8
-            assert next(iter(system.clients.values())).config.client_model == "neumf"
 
     def test_ensure_spec_rejects_other_types(self):
         with pytest.raises(TypeError):

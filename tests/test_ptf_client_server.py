@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import ClientUpload, PTFClient, PTFConfig, PTFServer
+from repro.core import ClientUpload, PTFClient, PTFServer
+from repro.experiments import ExperimentSpec
 from repro.utils import RngFactory
 
 NUM_ITEMS = 40
@@ -23,7 +24,7 @@ def _config(**overrides):
         server_model="ngcf",
     )
     defaults.update(overrides)
-    return PTFConfig(**defaults)
+    return ExperimentSpec.from_flat(trainer="ptf", **defaults)
 
 
 def _client(config=None, positives=(1, 2, 3, 4, 5), user_id=0, seed=0):
@@ -38,18 +39,20 @@ def _client(config=None, positives=(1, 2, 3, 4, 5), user_id=0, seed=0):
 
 
 class TestPTFConfig:
+    """The PTF trainer's configuration: an ``ExperimentSpec(trainer="ptf")``."""
+
     def test_defaults_match_paper(self):
-        config = PTFConfig()
-        assert config.alpha == 30
-        assert config.beta_range == (0.1, 1.0)
-        assert config.gamma_range == (1.0, 4.0)
-        assert config.swap_rate == 0.1
-        assert config.mu == 0.5
-        assert config.rounds == 20
-        assert config.client_local_epochs == 5
-        assert config.server_epochs == 2
-        assert config.learning_rate == 0.001
-        assert config.negative_ratio == 4
+        spec = ExperimentSpec(trainer="ptf")
+        assert spec.dispersal.alpha == 30
+        assert spec.privacy.beta_range == (0.1, 1.0)
+        assert spec.privacy.gamma_range == (1.0, 4.0)
+        assert spec.privacy.swap_rate == 0.1
+        assert spec.dispersal.mu == 0.5
+        assert spec.protocol.rounds == 20
+        assert spec.protocol.client_local_epochs == 5
+        assert spec.protocol.server_epochs == 2
+        assert spec.protocol.learning_rate == 0.001
+        assert spec.protocol.negative_ratio == 4
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -69,7 +72,7 @@ class TestPTFConfig:
     )
     def test_invalid_configuration_rejected(self, kwargs):
         with pytest.raises(ValueError):
-            PTFConfig(**kwargs)
+            ExperimentSpec.from_flat(trainer="ptf", **kwargs)
 
 
 class TestPTFClient:

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import PTFConfig, PTFFedRec
+from repro.core import PTFFedRec
+from repro.experiments import ExperimentSpec
 from repro.federated import FCF, FederatedConfig
 from repro.federated.communication import prediction_triple_bytes
 
@@ -23,7 +24,7 @@ def _config(**overrides):
         seed=11,
     )
     defaults.update(overrides)
-    return PTFConfig(**defaults)
+    return ExperimentSpec.from_flat(trainer="ptf", **defaults)
 
 
 class TestProtocolRounds:

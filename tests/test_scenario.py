@@ -226,8 +226,10 @@ class TestScenarioOffBitIdentity:
         The serial run carries no scenario knobs at all; the compared run
         carries an explicit (default) scenario section under each
         scheduler.  History, final metrics and served parameters must all
-        compare equal — the scenario-off path is the unchanged reference
-        code, not a near-copy.
+        compare equal, and no participation counts may appear.  Both runs
+        take the drivers' single round body, so this checks scenario
+        plumbing, not a reference; ``tests/test_golden_runs.py`` pins the
+        scenario-off output itself to recorded digests.
         """
         reference_spec = _spec(trainer, scheduler="serial")
         spec = _spec(trainer, scenario={}, scheduler=scheduler)
