@@ -36,7 +36,6 @@ import pytest
 
 from repro.data import MINI_SPECS, InteractionDataset, generate_dataset
 from repro.experiments import ExperimentSpec, create_trainer, run
-from repro.federated import FederatedConfig
 from repro.sweep import ArtifactStore, DatasetSpec
 from repro.utils import RngFactory
 
@@ -102,20 +101,6 @@ def mini_spec(trainer: str = "ptf", **overrides) -> ExperimentSpec:
 def mini_ptf_config(**overrides) -> ExperimentSpec:
     """Mini-scale PTF-FedRec spec, for direct ``PTFFedRec`` construction."""
     return mini_spec("ptf", **overrides)
-
-
-def mini_federated_config(**overrides) -> FederatedConfig:
-    """Configuration for directly constructed parameter-transmission baselines."""
-    defaults = dict(
-        rounds=10,
-        local_epochs=2,
-        local_learning_rate=0.05,
-        embedding_dim=16,
-        negative_ratio=4,
-        seed=SEED,
-    )
-    defaults.update(overrides)
-    return FederatedConfig(**defaults)
 
 
 # ----------------------------------------------------------------------

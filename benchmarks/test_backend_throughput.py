@@ -19,8 +19,6 @@ from __future__ import annotations
 
 import time
 
-import numpy as np
-
 from conftest import print_table
 
 from repro.data import debug_dataset

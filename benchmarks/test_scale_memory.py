@@ -35,11 +35,9 @@ import time
 import tracemalloc
 from pathlib import Path
 
-import pytest
-
 from repro.data import debug_dataset
-from repro.engine import EngineSpec
-from repro.federated import FCF, FederatedConfig
+from repro.experiments import ExperimentSpec
+from repro.federated import FCF
 from repro.utils import RngFactory
 
 SEED = 2024
@@ -60,16 +58,18 @@ COHORT_SIZES = (2_500, 10_000)
 MAX_RSS_RATIO = 1.5
 
 
-def _scale_config(shard_size: int = SHARD_SIZE) -> FederatedConfig:
-    return FederatedConfig(
-        rounds=1,
-        local_epochs=1,
-        embedding_dim=EMBEDDING_DIM,
+def _scale_config(shard_size: int = SHARD_SIZE,
+                  embedding_dim: int = EMBEDDING_DIM) -> ExperimentSpec:
+    return ExperimentSpec.from_flat(
+        trainer="fcf",
         seed=SEED,
         backend=BACKEND,
-        engine=EngineSpec(
-            scheduler="batched", payload="sparse", shard_size=shard_size
-        ),
+        rounds=1,
+        client_local_epochs=1,
+        embedding_dim=embedding_dim,
+        scheduler="batched",
+        payload="sparse",
+        shard_size=shard_size,
     )
 
 
@@ -153,19 +153,7 @@ def test_peak_rss_flat_across_cohort_sizes():
 
 
 def _allocation_peak(shard_size: int, dataset) -> int:
-    driver = FCF(
-        dataset,
-        FederatedConfig(
-            rounds=1,
-            local_epochs=1,
-            embedding_dim=64,
-            seed=SEED,
-            backend=BACKEND,
-            engine=EngineSpec(
-                scheduler="batched", payload="sparse", shard_size=shard_size
-            ),
-        ),
-    )
+    driver = FCF(dataset, _scale_config(shard_size, embedding_dim=64))
     tracemalloc.start()
     try:
         driver.fit()

@@ -197,8 +197,7 @@ def _resolve_parts(trainer, spec: Optional[ExperimentSpec]):
     if not isinstance(spec, ExperimentSpec):
         raise ValueError(
             "save_checkpoint needs the originating ExperimentSpec; pass spec=... "
-            "when checkpointing a system that does not carry one (e.g. a FedAvg "
-            "baseline built from a FederatedConfig)"
+            "when checkpointing an object that carries no .spec"
         )
     dataset = getattr(trainer, "dataset", None)
     if dataset is None:

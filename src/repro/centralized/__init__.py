@@ -6,6 +6,6 @@ single party, providing the performance ceiling that the federated methods
 approach.
 """
 
-from repro.centralized.trainer import CentralizedTrainer, CentralizedConfig
+from repro.centralized.trainer import CentralizedTrainer
 
-__all__ = ["CentralizedTrainer", "CentralizedConfig"]
+__all__ = ["CentralizedTrainer"]

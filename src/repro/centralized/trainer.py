@@ -2,15 +2,13 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, List, Optional, Sequence
-
-# repro: disable=backend-purity -- epoch shuffling indices and detached eval matrices only
-import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.callbacks import Callback
+    from repro.experiments.spec import ExperimentSpec
 
+from repro.core.config import ensure_spec
 from repro.data.dataset import InteractionDataset
 from repro.data.loaders import BatchIterator
 from repro.data.sampling import build_pointwise_samples
@@ -22,28 +20,11 @@ from repro.optim import Adam
 from repro.utils.rng import RngFactory
 
 
-@dataclass
-class CentralizedConfig:
-    """Hyper-parameters for centralized training (paper Section IV-D)."""
-
-    epochs: int = 20
-    batch_size: int = 1024
-    learning_rate: float = 0.001
-    negative_ratio: int = 4
-    l2_weight: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.epochs <= 0:
-            raise ValueError(f"epochs must be positive, got {self.epochs}")
-        if self.batch_size <= 0:
-            raise ValueError(f"batch_size must be positive, got {self.batch_size}")
-        if self.negative_ratio < 1:
-            raise ValueError(f"negative_ratio must be >= 1, got {self.negative_ratio}")
-
-
 class CentralizedTrainer:
     """Trains a recommender on the full dataset with pointwise BCE.
+
+    Configured by a ``trainer="centralized"`` spec; one round is one epoch
+    (the fields it reads are listed in :mod:`repro.experiments.trainers`).
 
     Graph models (NGCF/LightGCN) automatically receive the training
     interaction graph before the first epoch, matching how they are used
@@ -54,14 +35,15 @@ class CentralizedTrainer:
         self,
         model: Recommender,
         dataset: InteractionDataset,
-        config: Optional[CentralizedConfig] = None,
+        spec: Optional["ExperimentSpec"] = None,
     ):
         self.model = model
         self.dataset = dataset
-        self.config = config if config is not None else CentralizedConfig()
-        self._rngs = RngFactory(self.config.seed)
-        self.optimizer = Adam(model.parameters(), lr=self.config.learning_rate)
-        self.loss_fn = PointwiseBCELoss(l2_weight=self.config.l2_weight)
+        self.spec = ensure_spec(spec, "centralized")
+        self._rngs = RngFactory(self.spec.seed)
+        protocol = self.spec.protocol
+        self.optimizer = Adam(model.parameters(), lr=protocol.learning_rate)
+        self.loss_fn = PointwiseBCELoss(l2_weight=protocol.l2_weight)
         self.loss_history: List[float] = []
         if hasattr(model, "set_interaction_graph"):
             model.set_interaction_graph(dataset.train_pairs)
@@ -70,14 +52,15 @@ class CentralizedTrainer:
         """Run one epoch of pointwise training; returns the mean batch loss."""
         sample_rng = self._rngs.spawn_indexed("centralized-sampling", epoch)
         batch_rng = self._rngs.spawn_indexed("centralized-batching", epoch)
+        protocol = self.spec.protocol
         users, items, labels = build_pointwise_samples(
-            self.dataset, negative_ratio=self.config.negative_ratio, rng=sample_rng
+            self.dataset, negative_ratio=protocol.negative_ratio, rng=sample_rng
         )
         iterator = BatchIterator(
-            users, items, labels, batch_size=self.config.batch_size, rng=batch_rng
+            users, items, labels, batch_size=protocol.server_batch_size, rng=batch_rng
         )
         self.model.train()
-        regularized = list(self.model.parameters()) if self.config.l2_weight > 0 else []
+        regularized = list(self.model.parameters()) if protocol.l2_weight > 0 else []
         total_loss = 0.0
         batches = 0
         for batch_users, batch_items, batch_labels in iterator:
@@ -92,12 +75,16 @@ class CentralizedTrainer:
         self.loss_history.append(mean_loss)
         return mean_loss
 
+    @property
+    def rounds_completed(self) -> int:
+        return len(self.loss_history)
+
     def fit(
         self,
-        epochs: Optional[int] = None,
+        rounds: Optional[int] = None,
         callbacks: Optional[Sequence["Callback"]] = None,
     ) -> "CentralizedTrainer":
-        """Train for ``epochs`` (defaults to the configured number).
+        """Train for the configured number of epochs (or ``rounds`` more).
 
         Each epoch counts as one "round" for the shared training hooks, so
         callbacks (eval-every-k, early stopping, progress logging) behave
@@ -106,8 +93,8 @@ class CentralizedTrainer:
         from repro.experiments.callbacks import CallbackList
 
         hooks = CallbackList(callbacks)
-        start = len(self.loss_history)
-        total = epochs if epochs is not None else self.config.epochs
+        start = self.rounds_completed
+        total = rounds if rounds is not None else self.spec.protocol.rounds
         hooks.on_fit_start(self)
         for epoch in range(start, start + total):
             hooks.on_round_start(self, epoch)
@@ -139,7 +126,7 @@ class CentralizedTrainer:
     def state_dict(self) -> dict:
         """Model, Adam optimizer and per-epoch loss history."""
         return {
-            "rounds_completed": len(self.loss_history),
+            "rounds_completed": self.rounds_completed,
             "model": self.model.state_dict(),
             "optimizer": self.optimizer.state_dict(),
             "loss_history": [float(loss) for loss in self.loss_history],

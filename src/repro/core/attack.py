@@ -11,7 +11,7 @@ uploaded items; lower F1 means better privacy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
+from typing import Dict, Sequence
 
 # repro: disable=backend-purity -- the attack consumes the plaintext upload arrays an adversary sees
 import numpy as np

@@ -2,7 +2,7 @@
 
 The configuration itself is :class:`repro.experiments.ExperimentSpec`; this
 module keeps the defense and dispersal vocabularies its sections validate
-against, and :func:`ensure_spec`, which the core components call on their
+against, and :func:`ensure_spec`, which every training system calls on its
 ``config`` argument.
 """
 
@@ -34,20 +34,28 @@ DISPERSAL_MODES: Tuple[str, ...] = (
 )
 
 
-def ensure_spec(config: Optional[object]) -> "ExperimentSpec":
-    """Normalize a core component's ``config`` argument to an :class:`ExperimentSpec`.
+def ensure_spec(config: Optional[object], trainer: str = "ptf") -> "ExperimentSpec":
+    """Normalize a training component's ``config`` argument to an :class:`ExperimentSpec`.
 
-    Core components (:class:`~repro.core.client.PTFClient`,
-    :class:`~repro.core.server.PTFServer`,
-    :class:`~repro.core.protocol.PTFFedRec`) call this so they accept an
-    ``ExperimentSpec`` or ``None`` (the paper's defaults).
+    Every training system (:class:`~repro.core.protocol.PTFFedRec`, its
+    client and server, the FedAvg baselines and
+    :class:`~repro.centralized.CentralizedTrainer`) calls this, so each
+    accepts an ``ExperimentSpec`` or ``None`` — the defaults of
+    ``ExperimentSpec(trainer=trainer)``.  A spec naming a different
+    trainer is rejected: the system keeps it as ``.spec``, and a
+    checkpoint of the system would otherwise restore the wrong family.
     """
     from repro.experiments.spec import ExperimentSpec
 
     if config is None:
-        return ExperimentSpec(trainer="ptf")
-    if isinstance(config, ExperimentSpec):
-        return config
-    raise TypeError(
-        f"config must be an ExperimentSpec or None, got {type(config).__name__}"
-    )
+        return ExperimentSpec(trainer=trainer)
+    if not isinstance(config, ExperimentSpec):
+        raise TypeError(
+            f"config must be an ExperimentSpec or None, got {type(config).__name__}"
+        )
+    if config.trainer.strip().lower() != trainer:
+        raise ValueError(
+            f"this system trains {trainer!r}, but the spec names trainer "
+            f"{config.trainer!r}"
+        )
+    return config

@@ -10,7 +10,6 @@ import numpy as np
 
 from repro.core.attack import AttackReport, TopGuessAttack
 from repro.core.client import ClientUpload, PTFClient
-from repro.core.config import ensure_spec
 from repro.core.server import PTFServer
 from repro.data.dataset import InteractionDataset
 from repro.engine.batch import stack_models
@@ -76,23 +75,17 @@ class PTFFedRec(RoundDriver):
     """
 
     name = "PTF-FedRec"
+    trainer = "ptf"
     selection_stream = "protocol-client-selection"
 
     def __init__(
         self,
         dataset: InteractionDataset,
-        config: Optional["ExperimentSpec"] = None,
+        spec: Optional["ExperimentSpec"] = None,
     ):
         from repro.tensor.backend import use_backend
 
-        self.spec = ensure_spec(config)
-        super().__init__(
-            dataset,
-            seed=self.spec.seed,
-            backend=self.spec.backend,
-            engine=self.spec.engine,
-            scenario=self.spec.scenario,
-        )
+        super().__init__(dataset, spec)
         # Honor the spec's backend on direct construction too (the trainer
         # adapters also wrap — nesting the context is harmless), so server
         # and client models carry spec.backend's dtype either way.
@@ -112,10 +105,6 @@ class PTFFedRec(RoundDriver):
             }
         self.round_summaries: List[RoundSummary] = []
         self.last_round_uploads: List[ClientUpload] = []
-
-    @property
-    def _protocol(self):
-        return self.spec.protocol
 
     @property
     def rounds_completed(self) -> int:

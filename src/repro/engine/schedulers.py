@@ -277,7 +277,7 @@ class Scheduler:
                 losses[user] = 0.0
                 self._touched[user] = _zero_touched(global_state)
                 continue
-            losses[user] = run_local_plan(driver.model, driver.config, user, plan)
+            losses[user] = run_local_plan(driver.model, driver.spec.protocol, user, plan)
             payloads = _client_sparse_payloads(
                 named, global_state, item_rows, plan.touched_items()
             )
@@ -371,7 +371,7 @@ class BatchedScheduler(Scheduler):
                         driver, selected, round_index, global_state
                     )
                 optimizer = StackedSGD(
-                    stacked.parameters(), lr=driver.config.local_learning_rate
+                    stacked.parameters(), lr=driver.spec.protocol.local_learning_rate
                 )
                 batch = ClientBatch(stacked, optimizer, [plan for _, plan in group])
                 group_losses = batch.run()

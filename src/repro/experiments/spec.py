@@ -32,11 +32,10 @@ True
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field, fields
-from typing import Any, Dict, Mapping, Optional, Tuple, Type
+from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.core.config import DEFENSE_MODES, DISPERSAL_MODES
 from repro.engine.spec import EngineSpec

@@ -5,17 +5,19 @@ Each adapter builds its underlying system from an
 shared callback-aware ``fit`` loop, and exposes the uniform accessors
 ``repro.run`` needs to assemble a :class:`~repro.experiments.result.RunResult`.
 
-Spec-to-paradigm field mapping:
+Every system takes the spec itself (``system_cls(dataset, spec)``) and
+keeps it as ``.spec``.  The fields each paradigm reads:
 
 ==================  =====================================================
 trainer             reads
 ==================  =====================================================
 ``ptf``             every section (the full protocol), including
                     ``engine`` (execution scheduler)
-``fcf`` / ``fedmf`` ``protocol.rounds``, ``client_local_epochs`` (local
-/ ``metamf``        epochs), ``local_learning_rate``, ``client_batch_size``,
+``fcf`` / ``fedmf`` ``protocol.rounds``, ``client_local_epochs``,
+/ ``metamf``        ``local_learning_rate``, ``client_batch_size``,
                     ``client_fraction``, ``negative_ratio``,
-                    ``model.embedding_dim``, ``seed``, ``engine``
+                    ``model.embedding_dim``, ``seed``, ``engine``,
+                    ``scenario``
 ``centralized``     ``model.server_model`` (the trained architecture),
                     ``protocol.rounds`` (epochs), ``server_batch_size``,
                     ``learning_rate``, ``negative_ratio``, ``l2_weight``,
@@ -27,14 +29,13 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.centralized.trainer import CentralizedConfig, CentralizedTrainer
+from repro.centralized.trainer import CentralizedTrainer
 from repro.core.protocol import PTFFedRec
 from repro.data.dataset import InteractionDataset
 from repro.eval.ranking import RankingResult
 from repro.experiments.registry import register_trainer
 from repro.experiments.result import CommunicationSummary, PrivacySummary
 from repro.experiments.spec import ExperimentSpec
-from repro.federated.base import FederatedConfig
 from repro.federated.fcf import FCF
 from repro.federated.fedmf import FedMF
 from repro.federated.metamf import MetaMF
@@ -50,8 +51,9 @@ _UNSET = object()
 class TrainerAdapter:
     """Uniform facade over one training paradigm.
 
-    Subclasses implement :meth:`_build` (spec + dataset -> system); the
-    rest of the interface is shared.
+    Subclasses name their :attr:`system_cls` (built as
+    ``system_cls(dataset, spec)``) or override :meth:`_build`; the rest
+    of the interface is shared.
 
     The adapter owns the spec's *backend policy*: model construction,
     training and evaluation all run under ``use_backend(spec.backend)``,
@@ -62,6 +64,7 @@ class TrainerAdapter:
     """
 
     name: str = ""
+    system_cls = None
 
     def __init__(self, spec: ExperimentSpec, dataset: InteractionDataset):
         self.spec = spec
@@ -71,7 +74,7 @@ class TrainerAdapter:
             self.system = self._build()
 
     def _build(self):
-        raise NotImplementedError
+        return self.system_cls(self.dataset, self.spec)
 
     def fit(self, callbacks: Sequence = (), rounds: Optional[int] = None) -> "TrainerAdapter":
         """Run the paradigm's training loop with the shared hooks.
@@ -156,9 +159,7 @@ class PTFTrainer(TrainerAdapter):
     """PTF-FedRec itself: the paper's parameter transmission-free protocol."""
 
     name = "ptf"
-
-    def _build(self) -> PTFFedRec:
-        return PTFFedRec(self.dataset, self.spec)
+    system_cls = PTFFedRec
 
     def serving_model(self):
         return self.system.server.model
@@ -170,43 +171,20 @@ class PTFTrainer(TrainerAdapter):
         return PrivacySummary.from_report(report)
 
 
-class _ParameterTransmissionTrainer(TrainerAdapter):
-    """Shared adapter for the FedAvg-style baselines (FCF/FedMF/MetaMF)."""
-
-    system_cls = None
-
-    def _build(self):
-        spec = self.spec
-        config = FederatedConfig(
-            rounds=spec.protocol.rounds,
-            local_epochs=spec.protocol.client_local_epochs,
-            local_learning_rate=spec.protocol.local_learning_rate,
-            embedding_dim=spec.model.embedding_dim,
-            negative_ratio=spec.protocol.negative_ratio,
-            batch_size=spec.protocol.client_batch_size,
-            client_fraction=spec.protocol.client_fraction,
-            seed=spec.seed,
-            engine=spec.engine,
-            backend=spec.backend,
-            scenario=spec.scenario,
-        )
-        return self.system_cls(self.dataset, config)
-
-
 @register_trainer("fcf")
-class FCFTrainer(_ParameterTransmissionTrainer):
+class FCFTrainer(TrainerAdapter):
     name = "fcf"
     system_cls = FCF
 
 
 @register_trainer("fedmf")
-class FedMFTrainer(_ParameterTransmissionTrainer):
+class FedMFTrainer(TrainerAdapter):
     name = "fedmf"
     system_cls = FedMF
 
 
 @register_trainer("metamf")
-class MetaMFTrainer(_ParameterTransmissionTrainer):
+class MetaMFTrainer(TrainerAdapter):
     name = "metamf"
     system_cls = MetaMF
 
@@ -232,20 +210,4 @@ class CentralizedTrainerAdapter(TrainerAdapter):
             rng=RngFactory(spec.seed).spawn("centralized-model"),
             **kwargs,
         )
-        config = CentralizedConfig(
-            epochs=spec.protocol.rounds,
-            batch_size=spec.protocol.server_batch_size,
-            learning_rate=spec.protocol.learning_rate,
-            negative_ratio=spec.protocol.negative_ratio,
-            l2_weight=spec.protocol.l2_weight,
-            seed=spec.seed,
-        )
-        return CentralizedTrainer(model, self.dataset, config)
-
-    def fit(self, callbacks: Sequence = (), rounds: Optional[int] = None) -> "TrainerAdapter":
-        with use_backend(self.backend):
-            self.system.fit(epochs=rounds, callbacks=callbacks)
-        return self
-
-    def rounds_completed(self) -> int:
-        return len(self.system.loss_history)
+        return CentralizedTrainer(model, self.dataset, spec)

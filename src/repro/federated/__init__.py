@@ -25,7 +25,7 @@ from repro.federated.communication import (
     encrypted_parameter_bytes,
     prediction_triple_bytes,
 )
-from repro.federated.base import FederatedConfig, ParameterTransmissionFedRec
+from repro.federated.base import ParameterTransmissionFedRec
 from repro.federated.fcf import FCF
 from repro.federated.fedmf import FedMF
 from repro.federated.metamf import MetaMF
@@ -36,7 +36,6 @@ __all__ = [
     "dense_parameter_bytes",
     "encrypted_parameter_bytes",
     "prediction_triple_bytes",
-    "FederatedConfig",
     "ParameterTransmissionFedRec",
     "FCF",
     "FedMF",

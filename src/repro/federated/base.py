@@ -18,8 +18,7 @@ legs for the communication ledger.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
 
 # repro: disable=backend-purity -- FedAvg aggregates state_dict ndarrays in parameter-registration order
 import numpy as np
@@ -27,7 +26,6 @@ import numpy as np
 from repro.data.dataset import InteractionDataset
 from repro.data.sampling import UserBatchSampler
 from repro.engine import ClientTrainingPlan
-from repro.engine.spec import EngineSpec
 from repro.eval.ranking import RankingEvaluator, RankingResult
 from repro.eval.scoring import DEFAULT_CHUNK_SIZE
 from repro.federated.communication import FLOAT_BYTES, sparse_parameter_bytes
@@ -35,66 +33,18 @@ from repro.federated.driver import RoundDriver
 from repro.models.base import Recommender
 from repro.nn.losses import PointwiseBCELoss
 from repro.optim import SGD
-from repro.scenario.spec import ScenarioSpec
 from repro.tensor.sparse import SparseDelta
 from repro.utils.rng import RngFactory
 
-
-@dataclass
-class FederatedConfig:
-    """Hyper-parameters shared by the parameter-transmission baselines.
-
-    ``engine`` optionally selects the execution scheduler for the per-round
-    client loop (see :class:`repro.engine.EngineSpec`); ``None`` uses the
-    serial reference path.  ``backend`` names the tensor backend the
-    driver's model and local updates compute under.
-    ``scenario`` injects dynamic-federation faults (churn, stragglers,
-    async aggregation, streaming arrivals — see
-    :class:`repro.scenario.ScenarioSpec`); ``None`` injects nothing.
-    """
-
-    rounds: int = 20
-    local_epochs: int = 2
-    local_learning_rate: float = 0.05
-    embedding_dim: int = 32
-    negative_ratio: int = 4
-    batch_size: int = 64
-    client_fraction: float = 1.0
-    seed: int = 0
-    engine: Optional[EngineSpec] = None
-    backend: Optional[str] = None
-    scenario: Optional[ScenarioSpec] = None
-
-    def __post_init__(self) -> None:
-        from repro.tensor.backend import resolve_backend_name
-
-        self.backend = resolve_backend_name(self.backend)
-        if isinstance(self.scenario, Mapping):
-            self.scenario = ScenarioSpec(**dict(self.scenario))
-        if self.scenario is not None and not isinstance(self.scenario, ScenarioSpec):
-            raise ValueError(
-                f"scenario must be a ScenarioSpec, a mapping or None, "
-                f"got {type(self.scenario).__name__}"
-            )
-        if self.rounds <= 0:
-            raise ValueError(f"rounds must be positive, got {self.rounds}")
-        if self.local_epochs <= 0:
-            raise ValueError(f"local_epochs must be positive, got {self.local_epochs}")
-        if not 0.0 < self.client_fraction <= 1.0:
-            raise ValueError(
-                f"client_fraction must be in (0, 1], got {self.client_fraction}"
-            )
-        if self.engine is not None and not isinstance(self.engine, EngineSpec):
-            raise ValueError(
-                f"engine must be an EngineSpec or None, got {type(self.engine).__name__}"
-            )
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.spec import ExperimentSpec, ProtocolSpec
 
 
 # ----------------------------------------------------------------------
 # The per-client local update, shared by every execution scheduler
 # ----------------------------------------------------------------------
 def build_local_plan(
-    config: FederatedConfig,
+    protocol: "ProtocolSpec",
     rngs: RngFactory,
     user: int,
     positives: np.ndarray,
@@ -108,18 +58,18 @@ def build_local_plan(
     sampler = UserBatchSampler(
         num_items=num_items,
         positive_items=positives,
-        negative_ratio=config.negative_ratio,
-        batch_size=config.batch_size,
+        negative_ratio=protocol.negative_ratio,
+        batch_size=protocol.client_batch_size,
         rng=rng,
     )
-    epochs = [list(sampler.epoch()) for _ in range(config.local_epochs)]
+    epochs = [list(sampler.epoch()) for _ in range(protocol.client_local_epochs)]
     return ClientTrainingPlan(user_id=int(user), epochs=epochs)
 
 
-def run_local_plan(model: Recommender, config: FederatedConfig, user: int,
+def run_local_plan(model: Recommender, protocol: "ProtocolSpec", user: int,
                    plan: ClientTrainingPlan) -> float:
     """Execute a client's plan against ``model``; returns the mean loss."""
-    optimizer = SGD(model.parameters(), lr=config.local_learning_rate)
+    optimizer = SGD(model.parameters(), lr=protocol.local_learning_rate)
     loss_fn = PointwiseBCELoss()
     model.train()
     total_loss = 0.0
@@ -145,32 +95,28 @@ def load_public_state(model: Recommender, public_names, state) -> None:
 
 
 class ParameterTransmissionFedRec(RoundDriver):
-    """Base driver for FedAvg-style federated recommenders."""
+    """Base driver for FedAvg-style federated recommenders (the spec fields
+    it reads are listed in :mod:`repro.experiments.trainers`)."""
 
     name = "parameter-transmission-fedrec"
 
-    def __init__(self, dataset: InteractionDataset, config: Optional[FederatedConfig] = None):
+    def __init__(self, dataset: InteractionDataset, spec: Optional["ExperimentSpec"] = None):
         from repro.tensor.backend import use_backend
 
-        self.config = config if config is not None else FederatedConfig()
-        super().__init__(
-            dataset,
-            seed=self.config.seed,
-            backend=self.config.backend,
-            engine=self.config.engine,
-            scenario=self.config.scenario,
-        )
-        # The driver honors its config's backend even when constructed
+        super().__init__(dataset, spec)
+        # The spec allows 0 for PTF ablations; a FedAvg round must train.
+        if self.spec.protocol.client_local_epochs <= 0:
+            raise ValueError(
+                f"client_local_epochs must be positive for {self.name}, "
+                f"got {self.spec.protocol.client_local_epochs}"
+            )
+        # The driver honors its spec's backend even when constructed
         # directly (the trainer adapters wrap too — nesting is harmless),
-        # so the global model's dtype always matches config.backend.
-        with use_backend(self.config.backend):
+        # so the global model's dtype always matches spec.backend.
+        with use_backend(self.spec.backend):
             self.model = self._build_global_model()
         self._public_names = set(self._public_parameter_names())
         self.rounds_completed = 0
-
-    @property
-    def _protocol(self) -> FederatedConfig:
-        return self.config
 
     # ------------------------------------------------------------------
     # Hooks for subclasses
@@ -206,7 +152,7 @@ class ParameterTransmissionFedRec(RoundDriver):
     @property
     def payload_format(self) -> str:
         """The configured parameter-exchange format (``dense`` or ``sparse``)."""
-        return self.config.engine.payload if self.config.engine is not None else "dense"
+        return self.spec.engine.payload
 
     def _upload_bytes_sparse(self, touched: Mapping[str, tuple]) -> int:
         """Price one client's upload from its actual touched-row stats.
@@ -246,7 +192,7 @@ class ParameterTransmissionFedRec(RoundDriver):
     ) -> Optional[ClientTrainingPlan]:
         """Materialize one client's local-training batches for the engine."""
         return build_local_plan(
-            self.config,
+            self.spec.protocol,
             self._rngs,
             user,
             self.dataset.train_items(user),
@@ -259,7 +205,7 @@ class ParameterTransmissionFedRec(RoundDriver):
         plan = self.local_training_plan(user, round_index)
         if plan is None:
             return 0.0
-        return run_local_plan(self.model, self.config, user, plan)
+        return run_local_plan(self.model, self.spec.protocol, user, plan)
 
     def _encode_buffered(self, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
         """Encode a stale cohort's summed payload for buffering.

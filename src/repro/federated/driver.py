@@ -21,54 +21,53 @@ from typing import TYPE_CHECKING, Any, Dict, List, Optional, Sequence
 
 from repro.data.dataset import InteractionDataset
 from repro.engine import create_scheduler
-from repro.engine.spec import EngineSpec
 from repro.federated.communication import CommunicationLedger
 from repro.scenario import RoundParticipation, RoundPlan, ScenarioEngine
-from repro.scenario.spec import ScenarioSpec
 from repro.utils.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.callbacks import Callback
+    from repro.experiments.spec import ExperimentSpec
 
 
 class RoundDriver:
     """Shared state and round planning for the federated drivers.
 
-    Subclasses provide :attr:`_protocol` (where ``rounds`` and
-    ``client_fraction`` are read, live, every round), :meth:`run_round`
-    and a ``rounds_completed`` count, and override :meth:`_round_logs`
-    when :meth:`run_round` returns something other than a logs dict.
+    Every driver is configured by an
+    :class:`~repro.experiments.ExperimentSpec` (``None`` gives the
+    defaults for the driver's :attr:`trainer`), kept as :attr:`spec`;
+    ``spec.protocol.rounds`` and ``client_fraction`` are read, live,
+    every round.  Subclasses provide :meth:`run_round` and a
+    ``rounds_completed`` count, and override :meth:`_round_logs` when
+    :meth:`run_round` returns something other than a logs dict.
     """
 
     #: Named RNG stream the per-round client selection draws from.
     selection_stream = "client-selection"
+    #: The registry name of the trainer whose specs this driver accepts.
+    trainer = ""
 
     def __init__(
         self,
         dataset: InteractionDataset,
-        seed: int,
-        backend: str,
-        engine: Optional[EngineSpec],
-        scenario: Optional[ScenarioSpec],
+        spec: Optional["ExperimentSpec"] = None,
     ):
+        # Imported here: repro.core's package init imports this module.
+        from repro.core.config import ensure_spec
+
+        self.spec = ensure_spec(spec, self.trainer)
         self.dataset = dataset
-        self._backend = backend
-        self._rngs = RngFactory(seed)
+        self._rngs = RngFactory(self.spec.seed)
         self.ledger = CommunicationLedger()
-        self.engine = create_scheduler(engine)
+        self.engine = create_scheduler(self.spec.engine)
         self.scenario = ScenarioEngine(
-            scenario, self._rngs, dataset.users, dataset.num_items
+            self.spec.scenario, self._rngs, dataset.users, dataset.num_items
         )
         # Buffered late payloads (async aggregation), oldest first: each
         # entry carries ``due_round``, ``origin_round`` and ``staleness``
         # plus the family's payload; serialized with the checkpoint so
         # resume folds them into the same rounds.
         self._stale_buffer: List[Dict[str, Any]] = []
-
-    @property
-    def _protocol(self):
-        """The live settings object carrying ``rounds`` and ``client_fraction``."""
-        raise NotImplementedError
 
     def run_round(self, round_index: int):
         raise NotImplementedError
@@ -82,7 +81,7 @@ class RoundDriver:
     # ------------------------------------------------------------------
     def _select_clients(self, round_index: int) -> List[int]:
         users = self.dataset.users
-        fraction = self._protocol.client_fraction
+        fraction = self.spec.protocol.client_fraction
         if fraction >= 1.0:
             return users
         rng = self._rngs.spawn_indexed(self.selection_stream, round_index)
@@ -135,10 +134,10 @@ class RoundDriver:
         from repro.tensor.backend import use_backend
 
         hooks = CallbackList(callbacks)
-        total = rounds if rounds is not None else self._protocol.rounds
+        total = rounds if rounds is not None else self.spec.protocol.rounds
         start = self.rounds_completed
         hooks.on_fit_start(self)
-        with use_backend(self._backend):
+        with use_backend(self.spec.backend):
             for round_index in range(start, start + total):
                 hooks.on_round_start(self, round_index)
                 logs = self._round_logs(self.run_round(round_index))

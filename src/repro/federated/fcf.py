@@ -7,10 +7,9 @@ set exchanged with the server every round.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Sequence
 
-from repro.data.dataset import InteractionDataset
-from repro.federated.base import FederatedConfig, ParameterTransmissionFedRec
+from repro.federated.base import ParameterTransmissionFedRec
 from repro.federated.communication import dense_parameter_bytes
 from repro.models.mf import MatrixFactorization
 from repro.utils.rng import RngFactory
@@ -20,19 +19,17 @@ class FCF(ParameterTransmissionFedRec):
     """FedAvg over the item embeddings of a matrix-factorization model."""
 
     name = "FCF"
-
-    def __init__(self, dataset: InteractionDataset, config: Optional[FederatedConfig] = None):
-        super().__init__(dataset, config)
+    trainer = "fcf"
 
     def _build_global_model(self) -> MatrixFactorization:
         # The original FCF optimizes a plain dot-product factorization, so
         # no bias terms are used (they would also leak global popularity to
         # every client for free).
-        rng = RngFactory(self.config.seed).spawn("fcf-model")
+        rng = RngFactory(self.spec.seed).spawn("fcf-model")
         return MatrixFactorization(
             self.dataset.num_users,
             self.dataset.num_items,
-            embedding_dim=self.config.embedding_dim,
+            embedding_dim=self.spec.model.embedding_dim,
             rng=rng,
             use_bias=False,
         )

@@ -13,13 +13,16 @@ roughly 16x expansion over FCF reported in the paper).
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import TYPE_CHECKING, Optional, Sequence
 
 from repro.data.dataset import InteractionDataset
-from repro.federated.base import FederatedConfig, ParameterTransmissionFedRec
+from repro.federated.base import ParameterTransmissionFedRec
 from repro.federated.communication import encrypted_parameter_bytes
 from repro.models.mf import MatrixFactorization
 from repro.utils.rng import RngFactory
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.experiments.spec import ExperimentSpec
 
 DEFAULT_CIPHERTEXT_BYTES = 64
 
@@ -28,11 +31,12 @@ class FedMF(ParameterTransmissionFedRec):
     """FCF with homomorphically encrypted parameter exchange."""
 
     name = "FedMF"
+    trainer = "fedmf"
 
     def __init__(
         self,
         dataset: InteractionDataset,
-        config: Optional[FederatedConfig] = None,
+        spec: Optional["ExperimentSpec"] = None,
         ciphertext_bytes: int = DEFAULT_CIPHERTEXT_BYTES,
     ):
         if ciphertext_bytes < 4:
@@ -40,16 +44,16 @@ class FedMF(ParameterTransmissionFedRec):
                 f"ciphertext_bytes must be at least 4 (plaintext size), got {ciphertext_bytes}"
             )
         self.ciphertext_bytes = ciphertext_bytes
-        super().__init__(dataset, config)
+        super().__init__(dataset, spec)
 
     def _build_global_model(self) -> MatrixFactorization:
         # Same plain matrix factorization as FCF (see the note there); only
         # the wire format differs.
-        rng = RngFactory(self.config.seed).spawn("fedmf-model")
+        rng = RngFactory(self.spec.seed).spawn("fedmf-model")
         return MatrixFactorization(
             self.dataset.num_users,
             self.dataset.num_items,
-            embedding_dim=self.config.embedding_dim,
+            embedding_dim=self.spec.model.embedding_dim,
             rng=rng,
             use_bias=False,
         )

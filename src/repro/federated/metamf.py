@@ -16,8 +16,7 @@ from typing import Optional, Sequence
 # repro: disable=backend-purity -- meta-network shape bookkeeping; training math runs on Tensor
 import numpy as np
 
-from repro.data.dataset import InteractionDataset
-from repro.federated.base import FederatedConfig, ParameterTransmissionFedRec
+from repro.federated.base import ParameterTransmissionFedRec
 from repro.federated.communication import dense_parameter_bytes
 from repro.models.base import Recommender
 from repro.nn import Embedding, Linear
@@ -66,16 +65,14 @@ class MetaMF(ParameterTransmissionFedRec):
     """Federated training of :class:`MetaMFModel` with FedAvg aggregation."""
 
     name = "MetaMF"
-
-    def __init__(self, dataset: InteractionDataset, config: Optional[FederatedConfig] = None):
-        super().__init__(dataset, config)
+    trainer = "metamf"
 
     def _build_global_model(self) -> MetaMFModel:
-        rng = RngFactory(self.config.seed).spawn("metamf-model")
+        rng = RngFactory(self.spec.seed).spawn("metamf-model")
         return MetaMFModel(
             self.dataset.num_users,
             self.dataset.num_items,
-            embedding_dim=self.config.embedding_dim,
+            embedding_dim=self.spec.model.embedding_dim,
             rng=rng,
         )
 

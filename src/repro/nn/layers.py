@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Sequence
+from typing import Optional
 
 # repro: disable=backend-purity -- init draws and dropout masks are ndarray plumbing; layer math runs on Tensor
 import numpy as np

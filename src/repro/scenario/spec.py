@@ -1,9 +1,9 @@
 """Configuration for dynamic-federation fault injection.
 
 A :class:`ScenarioSpec` is the ``scenario={...}`` section of an
-:class:`~repro.experiments.spec.ExperimentSpec` (and the ``scenario``
-field of :class:`~repro.federated.base.FederatedConfig`).  It describes
-*which* dynamic-participation events a simulated deployment injects:
+:class:`~repro.experiments.spec.ExperimentSpec`, which every federated
+driver takes.  It describes *which* dynamic-participation events a
+simulated deployment injects:
 
 * **churn** — each selected client independently drops out mid-round with
   probability ``dropout`` and contributes nothing,

@@ -34,7 +34,7 @@ import os
 import time
 import traceback
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 #: Per-worker dataset memo: DatasetSpec.key() -> built dataset.  Module
 #: state is per *process*, so each pool worker (and the serial in-process

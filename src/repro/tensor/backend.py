@@ -267,9 +267,8 @@ def resolve_backend_name(name: Optional[str]) -> str:
 
     ``None`` adopts the session's active backend; anything else must name
     a registered backend (validated eagerly so a typo fails at config
-    construction, not mid-run).  The one policy shared by every config
-    type that carries a ``backend`` field (:class:`ExperimentSpec`,
-    ``FederatedConfig``).
+    construction, not mid-run).  :class:`~repro.experiments.ExperimentSpec`
+    applies it to its ``backend`` field.
     """
     if name is None:
         return active_backend().name

@@ -214,6 +214,29 @@ class TestResumeFidelity:
         assert [r.round_index for r in final_checkpoint.history] == list(range(ROUNDS))
 
 
+class TestBareSystemCheckpoint:
+    """A directly built driver carries its spec, so it checkpoints alone."""
+
+    @pytest.mark.parametrize("trainer", ["fcf", "fedmf", "metamf"])
+    def test_bare_driver_resumes_bit_identically(self, trainer, tiny_dataset, tmp_path):
+        from repro.federated import FCF, FedMF, MetaMF
+
+        system_cls = {"fcf": FCF, "fedmf": FedMF, "metamf": MetaMF}[trainer]
+        spec = tiny_spec(trainer, rounds=3)
+        system = system_cls(tiny_dataset, spec).fit(rounds=1)
+        save_checkpoint(tmp_path / "ck", system)
+        resumed = load_checkpoint(tmp_path / "ck").restore()
+        resumed.fit(rounds=2)
+
+        full = system_cls(tiny_dataset, spec).fit()
+        assert resumed.rounds_completed() == full.rounds_completed == 3
+        for (name, left), (_, right) in zip(
+            resumed.system.model.named_parameters(), full.model.named_parameters()
+        ):
+            assert np.array_equal(left.data, right.data), name
+        assert_states_equal(resumed.state_dict(), full.state_dict())
+
+
 # ----------------------------------------------------------------------
 # Optimizer state across engine schedulers (satellite)
 # ----------------------------------------------------------------------

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro
 from repro.core import PTFFedRec, ensure_spec
 from repro.experiments import (
     Callback,
@@ -14,7 +13,6 @@ from repro.experiments import (
     ExperimentSpec,
     ProgressLogger,
     available_trainers,
-    create_trainer,
     get_trainer,
     register_trainer,
     run,

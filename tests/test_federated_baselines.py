@@ -5,24 +5,51 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.federated import FCF, FederatedConfig, FedMF, MetaMF
+import repro
+from repro.experiments import ExperimentSpec
+from repro.federated import FCF, FedMF, MetaMF
 from repro.federated.metamf import MetaMFModel
 
+FEDAVG_SYSTEMS = {"fcf": FCF, "fedmf": FedMF, "metamf": MetaMF}
 
-def _config(**overrides):
-    defaults = dict(rounds=2, local_epochs=1, embedding_dim=8, seed=3)
+
+def _config(trainer="fcf", **overrides):
+    defaults = dict(rounds=2, client_local_epochs=1, embedding_dim=8)
     defaults.update(overrides)
-    return FederatedConfig(**defaults)
+    return ExperimentSpec.from_flat(trainer=trainer, seed=3, **defaults)
 
 
 class TestFederatedConfig:
+    """The FedAvg drivers' settings come from their ExperimentSpec."""
+
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rounds": 0}, {"local_epochs": 0}, {"client_fraction": 0.0}, {"client_fraction": 1.5}],
+        [{"rounds": 0}, {"client_local_epochs": 0}, {"client_fraction": 0.0},
+         {"client_fraction": 1.5}],
     )
-    def test_invalid_values_rejected(self, kwargs):
+    def test_invalid_values_rejected(self, tiny_dataset, kwargs):
         with pytest.raises(ValueError):
-            FederatedConfig(**kwargs)
+            FCF(tiny_dataset, _config(**kwargs))
+
+    @pytest.mark.parametrize("trainer", sorted(FEDAVG_SYSTEMS))
+    def test_zero_local_epochs_rejected(self, tiny_dataset, trainer):
+        # ProtocolSpec allows 0 (a PTF ablation); a FedAvg round cannot.
+        spec = _config(trainer, client_local_epochs=0)
+        with pytest.raises(ValueError, match="client_local_epochs"):
+            FEDAVG_SYSTEMS[trainer](tiny_dataset, spec)
+        with pytest.raises(ValueError, match="client_local_epochs"):
+            repro.run(spec, tiny_dataset)
+
+    @pytest.mark.parametrize("trainer", sorted(FEDAVG_SYSTEMS))
+    def test_spec_naming_another_trainer_rejected(self, tiny_dataset, trainer):
+        other = "fedmf" if trainer == "fcf" else "fcf"
+        with pytest.raises(ValueError, match="trainer"):
+            FEDAVG_SYSTEMS[trainer](tiny_dataset, _config(other))
+
+    def test_no_spec_gives_trainer_defaults(self, tiny_dataset):
+        system = FedMF(tiny_dataset)
+        assert system.spec == ExperimentSpec(trainer="fedmf")
+        assert system.payload_format == "dense"
 
 
 class TestProtocolMechanics:
@@ -58,7 +85,7 @@ class TestProtocolMechanics:
         absent_user = max(users) if max(users) not in users[:1] else users[-1]
         before = system.model.user_embedding.weight.data[absent_user].copy()
         # Run a round restricted to a different single client.
-        system.config.client_fraction = 1.0 / len(users)
+        system.spec.protocol.client_fraction = 1.0 / len(users)
         system.run_round(0)
         trained = {record.client_id for record in system.ledger.records}
         if absent_user not in trained:
@@ -72,7 +99,7 @@ class TestProtocolMechanics:
         assert set(system.ledger.bytes_per_round()) == {0, 1, 2}
 
     def test_training_improves_over_initialization(self, tiny_dataset):
-        config = _config(rounds=6, local_epochs=2, local_learning_rate=0.1)
+        config = _config(rounds=6, client_local_epochs=2, local_learning_rate=0.1)
         system = FCF(tiny_dataset, config)
         before = system.evaluate(k=10)
         system.fit()
@@ -98,7 +125,7 @@ class TestCommunicationCosts:
 
     def test_fedmf_is_more_expensive_than_fcf(self, tiny_dataset):
         fcf = FCF(tiny_dataset, _config())
-        fedmf = FedMF(tiny_dataset, _config())
+        fedmf = FedMF(tiny_dataset, _config("fedmf"))
         fcf.run_round(0)
         fedmf.run_round(0)
         assert (
@@ -107,8 +134,8 @@ class TestCommunicationCosts:
         )
 
     def test_fedmf_ciphertext_expansion_is_configurable(self, tiny_dataset):
-        small = FedMF(tiny_dataset, _config(), ciphertext_bytes=8)
-        large = FedMF(tiny_dataset, _config(), ciphertext_bytes=128)
+        small = FedMF(tiny_dataset, _config("fedmf"), ciphertext_bytes=8)
+        large = FedMF(tiny_dataset, _config("fedmf"), ciphertext_bytes=128)
         small.run_round(0)
         large.run_round(0)
         ratio = (
@@ -119,11 +146,11 @@ class TestCommunicationCosts:
 
     def test_fedmf_rejects_sub_plaintext_ciphertexts(self, tiny_dataset):
         with pytest.raises(ValueError):
-            FedMF(tiny_dataset, _config(), ciphertext_bytes=2)
+            FedMF(tiny_dataset, _config("fedmf"), ciphertext_bytes=2)
 
     def test_metamf_cost_close_to_but_above_item_table(self, tiny_dataset):
         fcf = FCF(tiny_dataset, _config())
-        metamf = MetaMF(tiny_dataset, _config())
+        metamf = MetaMF(tiny_dataset, _config("metamf"))
         fcf.run_round(0)
         metamf.run_round(0)
         assert (
@@ -156,7 +183,7 @@ class TestMetaMFModel:
         assert not np.allclose(generated, base)
 
     def test_metamf_public_parameters_exclude_user_table(self, tiny_dataset):
-        system = MetaMF(tiny_dataset, _config())
+        system = MetaMF(tiny_dataset, _config("metamf"))
         public_names = set(system._public_parameter_names())
         assert "user_embedding.weight" not in public_names
         model_names = {name for name, _ in system.model.named_parameters()}

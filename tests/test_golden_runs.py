@@ -5,7 +5,9 @@ round hands to the callbacks, every communication-ledger record, and the
 bytes of the serving parameters.  The values were recorded while each
 driver still kept a separate scenario-off round body; both drivers now send
 every round through ``ScenarioEngine.plan_round``, and these hashes pin that
-a disabled scenario still changes nothing.
+a disabled scenario still changes nothing.  The centralized case was
+recorded while centralized training still read its own config dataclass,
+so it pins that reading the spec changes nothing either.
 
 The specs pin ``backend="numpy"`` so the float32 CI legs
 (``REPRO_BACKEND=numpy32``) check the same values.
@@ -53,9 +55,10 @@ def _run_digest(trainer: str, scheduler: str, client_fraction: float,
 
     digest = hashlib.sha256()
     digest.update(json.dumps(recorder.logs, sort_keys=True).encode())
+    # Centralized training keeps no ledger: its logs carry the loss history.
     records = [
         (r.round_index, r.client_id, r.direction, r.num_bytes, r.description)
-        for r in adapter.ledger.records
+        for r in (adapter.ledger.records if adapter.ledger is not None else [])
     ]
     digest.update(json.dumps(records).encode())
     for name, parameter in adapter.serving_model().named_parameters():
@@ -66,7 +69,11 @@ def _run_digest(trainer: str, scheduler: str, client_fraction: float,
 
 
 #: ``(trainer, scheduler, client_fraction, payload, shard_size)`` -> digest.
+#: Centralized training ignores the engine and cohort settings; its one
+#: case pins three epochs of the NGCF server model.
 GOLDEN_RUN_DIGESTS = {
+    ("centralized", "serial", 1.0, "dense", 0):
+        "e80afe8a2ff0c12b535567c701e6db1f702918c0f48a9e0596a970df2cdab5ca",
     ("ptf", "serial", 1.0, "dense", 0):
         "591b3a59ae9ee1e0085d204ffa32ef7e4cfe3588286ad6ac6349bc17c0b0207c",
     ("ptf", "serial", 0.5, "dense", 0):

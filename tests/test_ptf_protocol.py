@@ -7,7 +7,7 @@ import pytest
 
 from repro.core import PTFFedRec
 from repro.experiments import ExperimentSpec
-from repro.federated import FCF, FederatedConfig
+from repro.federated import FCF
 from repro.federated.communication import prediction_triple_bytes
 
 
@@ -44,6 +44,10 @@ class TestProtocolRounds:
         system.fit(rounds=1)
         assert len(system.round_summaries) == 3
         assert [s.round_index for s in system.round_summaries] == [0, 1, 2]
+
+    def test_spec_naming_another_trainer_rejected(self, tiny_dataset):
+        with pytest.raises(ValueError, match="trainer"):
+            PTFFedRec(tiny_dataset, ExperimentSpec(trainer="fcf"))
 
     def test_client_fraction_selects_subset(self, tiny_dataset):
         system = PTFFedRec(tiny_dataset, _config(client_fraction=0.2, rounds=1))
@@ -106,7 +110,9 @@ class TestCommunicationAndPrivacy:
     def test_ptf_communication_is_orders_of_magnitude_below_fcf(self, tiny_dataset):
         ptf = PTFFedRec(tiny_dataset, _config(rounds=1))
         ptf.fit()
-        fcf = FCF(tiny_dataset, FederatedConfig(rounds=1, local_epochs=1, embedding_dim=32))
+        fcf = FCF(tiny_dataset, ExperimentSpec.from_flat(
+            trainer="fcf", rounds=1, client_local_epochs=1, embedding_dim=32,
+        ))
         fcf.fit()
         assert fcf.average_client_round_kilobytes() > 5 * ptf.average_client_round_kilobytes()
 

@@ -22,7 +22,7 @@ from repro.engine import EngineSpec, PAYLOAD_FORMATS
 from repro.experiments.registry import available_trainers, get_trainer
 from repro.experiments.result import RunResult
 from repro.experiments.spec import ExperimentSpec
-from repro.federated.base import FederatedConfig, build_local_plan
+from repro.federated.base import build_local_plan
 from repro.federated.communication import (
     FLOAT_BYTES,
     INT_BYTES,
@@ -209,18 +209,17 @@ class TestSparseResume:
 # ----------------------------------------------------------------------
 # Communication metering: the ledger reports what actually moves
 # ----------------------------------------------------------------------
-def _driver_config(payload="dense", scheduler="batched", **overrides):
-    return FederatedConfig(
-        rounds=2, local_epochs=1, seed=9,
-        engine=EngineSpec(scheduler=scheduler, payload=payload, shard_size=4),
-        **overrides,
+def _driver_config(trainer="fcf", payload="dense", scheduler="batched"):
+    return ExperimentSpec.from_flat(
+        trainer=trainer, seed=9, rounds=2, client_local_epochs=1,
+        scheduler=scheduler, payload=payload, shard_size=4,
     )
 
 
 def _expected_touched_rows(driver, user, round_index):
     """Re-derive a client's touched item rows from scratch (fresh RNGs)."""
     plan = build_local_plan(
-        driver.config, RngFactory(driver.config.seed), user,
+        driver.spec.protocol, RngFactory(driver.spec.seed), user,
         driver.dataset.train_items(user), driver.dataset.num_items, round_index,
     )
     return 0 if plan is None else int(plan.touched_items().size)
@@ -234,7 +233,7 @@ class TestSparseMeteringRegression:
         ds = _dataset()
         driver = FCF(ds, _driver_config(payload="dense"))
         driver.fit()
-        table_bytes = dense_parameter_bytes(ds.num_items * driver.config.embedding_dim)
+        table_bytes = dense_parameter_bytes(ds.num_items * driver.spec.model.embedding_dim)
         uploads = [r for r in driver.ledger.records if r.direction == "upload"]
         assert uploads and all(r.num_bytes == table_bytes for r in uploads)
         # Per client-round: one download + one upload of the full table.
@@ -244,7 +243,7 @@ class TestSparseMeteringRegression:
         ds = _dataset()
         driver = FCF(ds, _driver_config(payload="sparse"))
         driver.fit()
-        dim = driver.config.embedding_dim
+        dim = driver.spec.model.embedding_dim
         uploads = [r for r in driver.ledger.records if r.direction == "upload"]
         assert uploads, "no uploads metered"
         for record in uploads:
@@ -263,22 +262,22 @@ class TestSparseMeteringRegression:
 
     def test_fedmf_sparse_values_stay_ciphertexts(self):
         ds = _dataset()
-        driver = FedMF(ds, _driver_config(payload="sparse"))
+        driver = FedMF(ds, _driver_config("fedmf", payload="sparse"))
         driver.fit()
         for record in driver.ledger.records:
             if record.direction != "upload":
                 continue
             touched = _expected_touched_rows(driver, record.client_id, record.round_index)
             assert record.num_bytes == sparse_parameter_bytes(
-                touched, driver.config.embedding_dim,
+                touched, driver.spec.model.embedding_dim,
                 value_bytes=driver.ciphertext_bytes,
             )
 
     def test_metamf_meta_networks_ship_as_dense_blocks(self):
         ds = _dataset()
-        driver = MetaMF(ds, _driver_config(payload="sparse"))
+        driver = MetaMF(ds, _driver_config("metamf", payload="sparse"))
         driver.fit()
-        dim = driver.config.embedding_dim
+        dim = driver.spec.model.embedding_dim
         # Meta nets move whole, with no per-row index overhead.
         meta_bytes = (2 * dim * dim + 2 * dim) * FLOAT_BYTES
         for record in driver.ledger.records:

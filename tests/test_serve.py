@@ -10,7 +10,6 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro
 from repro.artifacts import CheckpointEveryK
 from repro.eval.ranking import RankingEvaluator
 from repro.experiments import ExperimentSpec, create_trainer

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 import os
-import signal
 import subprocess
 import sys
 import time
@@ -26,7 +25,6 @@ import pytest
 
 import repro
 from repro.sweep import (
-    ALL_RUNS,
     ArtifactStore,
     DatasetSpec,
     RunSpec,

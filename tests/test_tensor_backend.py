@@ -500,11 +500,12 @@ class TestSpecPlumbing:
         # Drivers constructed without the adapter must still honor the
         # configured backend (model dtype and the serial fit loop).
         from repro.core.protocol import PTFFedRec
-        from repro.federated.base import FederatedConfig
         from repro.federated.fedmf import FedMF
 
         dataset = small_dataset()
-        system = FedMF(dataset, FederatedConfig(rounds=1, backend="numpy32"))
+        system = FedMF(dataset, ExperimentSpec.from_flat(
+            trainer="fedmf", backend="numpy32", rounds=1, client_local_epochs=2,
+        ))
         assert next(iter(system.model.parameters())).dtype == np.float32
         system.fit(rounds=1)
         assert next(iter(system.model.parameters())).dtype == np.float32
