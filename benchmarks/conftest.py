@@ -18,24 +18,25 @@ All experiment work runs exactly once per benchmark via
 ``benchmark.pedantic(..., rounds=1, iterations=1)``; the printed tables are
 the real deliverable, the timing is incidental.
 
-The table/figure benchmarks that sweep many experiments (Table III,
-Table IV, Figure 4) run through :mod:`repro.sweep` (see
+Every table/figure benchmark that trains (Tables III-VIII, Figures 3
+and 4) runs its experiments through :mod:`repro.sweep` (see
 ``benchmarks/sweeps.py``): each experiment is a fingerprint-cached sweep
 run, so identical experiments shared between benchmarks train once per
-session, and ``benchmarks/paper_artifacts.py`` regenerates every artifact
-from the same sweep definitions.
+session and independent ones spread over the sweep's worker pool, and
+``benchmarks/paper_artifacts.py`` regenerates every artifact from the
+same sweep definitions.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from typing import Dict, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import pytest
 
 from repro.data import MINI_SPECS, InteractionDataset, generate_dataset
-from repro.experiments import ExperimentSpec, create_trainer, run
+from repro.experiments import ExperimentSpec
 from repro.sweep import ArtifactStore, DatasetSpec
 from repro.utils import RngFactory
 
@@ -78,6 +79,10 @@ def mini_spec(trainer: str = "ptf", **overrides) -> ExperimentSpec:
     protocol-level hyper-parameter (α, β, γ, λ, µ, negative ratio) at the
     paper's values.  ``overrides`` are flat field names (``alpha=50``,
     ``dispersal_mode="random"``), as :meth:`ExperimentSpec.from_flat` takes them.
+
+    Clients train on the ``batched`` scheduler: it is bit-identical to
+    ``serial`` (``tests/test_scale_identity.py``), faster, and outside
+    the sweep fingerprint, so every number is the one a serial run gives.
     """
     defaults = dict(
         rounds=10,
@@ -91,6 +96,7 @@ def mini_spec(trainer: str = "ptf", **overrides) -> ExperimentSpec:
         server_num_layers=3,
         alpha=30,
         k=TOP_K,
+        scheduler="batched",
         seed=SEED,
     )
     defaults.update(overrides)
@@ -98,13 +104,8 @@ def mini_spec(trainer: str = "ptf", **overrides) -> ExperimentSpec:
     return ExperimentSpec.from_flat(trainer=trainer, seed=seed, **defaults)
 
 
-def mini_ptf_config(**overrides) -> ExperimentSpec:
-    """Mini-scale PTF-FedRec spec, for direct ``PTFFedRec`` construction."""
-    return mini_spec("ptf", **overrides)
-
-
 # ----------------------------------------------------------------------
-# Experiment runners shared by several benchmarks
+# Spec builders shared by the sweeps
 # ----------------------------------------------------------------------
 #: Per-model centralized training tweaks at mini scale: NeuMF and NGCF need
 #: a little L2 to avoid overfitting the tiny datasets, while LightGCN (no
@@ -141,28 +142,6 @@ def ptf_spec(server_model: str, **overrides) -> ExperimentSpec:
     return mini_spec("ptf", server_model=server_model, **overrides)
 
 
-def run_centralized(dataset: InteractionDataset, model_name: str) -> Dict[str, float]:
-    """Train a centralized model and return Recall@20 / NDCG@20."""
-    result = run(centralized_spec(model_name), dataset)
-    return {"Recall@20": result.final.recall, "NDCG@20": result.final.ndcg}
-
-
-def run_federated_baseline(dataset: InteractionDataset, name: str):
-    """Train one parameter-transmission baseline; returns (metrics, system)."""
-    trainer = create_trainer(baseline_spec(name), dataset)
-    trainer.fit()
-    result = trainer.evaluate(k=TOP_K)
-    return {"Recall@20": result.recall, "NDCG@20": result.ndcg}, trainer.system
-
-
-def run_ptf(dataset: InteractionDataset, server_model: str, **spec_overrides):
-    """Train PTF-FedRec with the given server model; returns (metrics, system)."""
-    trainer = create_trainer(ptf_spec(server_model, **spec_overrides), dataset)
-    trainer.fit()
-    result = trainer.evaluate(k=TOP_K)
-    return {"Recall@20": result.recall, "NDCG@20": result.ndcg}, trainer.system
-
-
 # ----------------------------------------------------------------------
 # Output helpers
 # ----------------------------------------------------------------------
@@ -184,12 +163,6 @@ def _format_cell(cell) -> str:
     if isinstance(cell, float):
         return f"{cell:.4f}"
     return str(cell)
-
-
-@pytest.fixture(scope="session")
-def mini_datasets() -> Dict[str, InteractionDataset]:
-    """The three miniature datasets, built once per benchmark session."""
-    return {name: build_dataset(name) for name in DATASET_NAMES}
 
 
 # ----------------------------------------------------------------------

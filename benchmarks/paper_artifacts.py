@@ -12,7 +12,8 @@ figure, or a tweak to one method — executes only the runs whose
 fingerprints are missing.  The remaining tables and figures
 (``--with-pytest``, on by default for ``--only all``) are regenerated by
 running their benchmark modules through pytest, so one command really does
-rebuild the whole evaluation section.
+rebuild the whole evaluation section (those modules run sweeps of their
+own, against the same store).
 
 Exit codes: 0 — everything regenerated; 1 — a sweep run or pytest-backed
 benchmark failed; 2 — usage error.
@@ -170,6 +171,8 @@ def main(argv: Optional[List[str]] = None) -> int:
 
         here = Path(__file__).resolve().parent
         paths = [str(here / module) for module in PYTEST_ARTIFACTS]
+        # The pytest-backed tables run sweeps too: point them at this store.
+        os.environ["REPRO_SWEEP_STORE"] = str(store.root)
         print("\nregenerating the remaining tables/figures through pytest...")
         code = pytest.main(["-q", "-s", "-p", "no:cacheprovider", *paths])
         if code != 0:

@@ -2,10 +2,10 @@
 
 One module owns the *declarative* description of every multi-experiment
 artifact — which experiments run on which datasets and how their results
-are aggregated — so the pytest benchmarks (``test_table3_effectiveness``,
-``test_table4_communication``, ``test_fig4_alpha_sweep``) and the one-shot
-regenerator (``benchmarks/paper_artifacts.py``) execute the exact same
-runs through :class:`repro.sweep.Sweep` and share its fingerprint cache.
+are aggregated — so the pytest benchmarks of Tables III-VIII and Figures
+3 and 4 and the one-shot regenerator (``benchmarks/paper_artifacts.py``)
+execute the exact same runs through :class:`repro.sweep.Sweep` and share
+its fingerprint cache: a run two tables share trains once per store.
 
 Every experiment spec here reproduces the hand-rolled loops the benchmarks
 used before the sweep runner existed (the spec builders live in
@@ -204,3 +204,131 @@ def fig4_series(metrics: Dict[str, Dict[str, float]]) -> List[tuple]:
         k = entry["k"]
         series.append((alpha, entry[f"NDCG@{k}"], entry[f"Recall@{k}"]))
     return series
+
+
+# ----------------------------------------------------------------------
+# Tables V and VI, Figure 3 — the Top Guess Attack under each defense
+# ----------------------------------------------------------------------
+#: Global rounds of the privacy runs (shorter than Table III: the attack
+#: is measured on upload structure, which stabilizes after a few rounds).
+PRIVACY_ROUNDS = 6
+
+#: Attack guess ratio: the server assumes the standard 1:4 sampling prior.
+GUESS_RATIO = 0.2
+
+DEFENSES = ("none", "ldp", "sampling", "sampling+swapping")
+DEFENSE_LABELS = {
+    "none": "No Defense",
+    "ldp": "LDP",
+    "sampling": "Sampling",
+    "sampling+swapping": "Sampling + Swapping",
+}
+
+#: Figure 3's sweeps of the privacy hyper-parameters β, γ and λ.
+BETA_RANGES = ((0.1, 1.0), (0.3, 1.0), (0.5, 1.0), (0.7, 1.0))
+GAMMA_RANGES = ((1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.0))
+LAMBDA_VALUES = (0.05, 0.1, 0.15, 0.2)
+
+
+def privacy_run(run: str, dataset: str, defense: str, **overrides) -> RunSpec:
+    """PTF-FedRec(NGCF) under ``defense``, audited by the Top Guess Attack
+    against the final round's uploads."""
+    spec = ptf_spec("ngcf", defense=defense, rounds=PRIVACY_ROUNDS,
+                    audit_guess_ratio=GUESS_RATIO, **overrides)
+    return RunSpec(run, spec, mini_dataset(dataset))
+
+
+def privacy_metrics(outcome) -> Dict[str, Dict[str, float]]:
+    """Per run: attack F1 plus the server model's ranking metrics."""
+    return {
+        run: {"F1": result.privacy.mean_f1, "NDCG@20": result.final.ndcg,
+              "Recall@20": result.final.recall}
+        for run, result in outcome.results.items()
+    }
+
+
+def defense_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
+    """Every defense on every dataset: the twelve runs Tables V and VI report."""
+    return SweepSpec(
+        name="table5",
+        runs=[privacy_run(run_id(name, defense), name, defense)
+              for name in datasets for defense in DEFENSES],
+    )
+
+
+def defense_results(metrics: Dict[str, Dict[str, float]],
+                    datasets: Sequence[str] = DATASET_NAMES
+                    ) -> Dict[str, Dict[str, Dict[str, float]]]:
+    """``{dataset: {defense: {"F1", "NDCG@20", "Recall@20"}}}``."""
+    return {name: {defense: metrics[run_id(name, defense)] for defense in DEFENSES}
+            for name in datasets}
+
+
+def fig3_sweep(dataset: str = "movielens-mini") -> SweepSpec:
+    """Sampling + swapping across β, γ and λ; the runs at the default
+    setting repeat Table V's, so a shared store trains them once."""
+    def series(name, field, values):
+        return [privacy_run(f"{name}={value}", dataset, "sampling+swapping",
+                            **{field: value})
+                for value in values]
+
+    return SweepSpec(
+        name="fig3",
+        runs=(series("beta", "beta_range", BETA_RANGES)
+              + series("gamma", "gamma_range", GAMMA_RANGES)
+              + series("lambda", "swap_rate", LAMBDA_VALUES)),
+    )
+
+
+# ----------------------------------------------------------------------
+# Table VII — ablation of the dispersed dataset's construction
+# ----------------------------------------------------------------------
+ABLATION_ROUNDS = 8
+
+#: Table VII's variants and the dispersal mode each one runs.
+DISPERSAL_VARIANTS = {
+    "PTF-FedRec": "confidence+hard",
+    "-hard": "confidence+random",
+    "-confidence": "random+hard",
+    "-confidence -hard": "random",
+}
+
+
+def table7_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
+    """PTF-FedRec(NGCF) with each dispersal variant on every dataset."""
+    return SweepSpec(
+        name="table7",
+        runs=[
+            RunSpec(run_id(name, label),
+                    ptf_spec("ngcf", dispersal_mode=mode, rounds=ABLATION_ROUNDS,
+                             audit_privacy=False),
+                    mini_dataset(name))
+            for name in datasets
+            for label, mode in DISPERSAL_VARIANTS.items()
+        ],
+        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
+    )
+
+
+# ----------------------------------------------------------------------
+# Table VIII — every client-model x server-model combination
+# ----------------------------------------------------------------------
+COMBINATION_MODELS = ("neumf", "ngcf", "lightgcn")
+COMBINATION_ROUNDS = 8
+
+
+def table8_sweep(dataset: str = "movielens-mini") -> SweepSpec:
+    """PTF-FedRec for each (client model, server model) pair on one dataset;
+    run ids are ``<client>/<server>``."""
+    return SweepSpec(
+        name="table8",
+        runs=[
+            RunSpec(f"{client}/{server}",
+                    ptf_spec(server, client_model=client, rounds=COMBINATION_ROUNDS,
+                             audit_privacy=False),
+                    mini_dataset(dataset))
+            for client in COMBINATION_MODELS
+            for server in COMBINATION_MODELS
+        ],
+        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
+    )

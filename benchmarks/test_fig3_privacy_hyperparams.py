@@ -5,7 +5,10 @@ positives uploaded → better utility, weaker privacy), the lower end of the
 γ range (more negatives, more deterministic ratio → attack recovers), and
 the swap rate λ (more swapping → both attack and utility drop).  The bench
 runs the sweeps on the MovieLens miniature (the paper's Fig. 3a); the same
-series can be produced for the other datasets by changing DATASET.
+series can be produced for the other datasets by passing another dataset
+to ``sweeps.fig3_sweep``.  The twelve runs execute as one :mod:`repro.sweep`
+sweep; the three at the default β, γ and λ repeat Table V's sampling +
+swapping run, so the session's shared store trains that one once.
 """
 
 from __future__ import annotations
@@ -13,36 +16,38 @@ from __future__ import annotations
 import pytest
 
 from conftest import print_table
-from privacy_common import GUESS_RATIO, run_privacy_experiment
+from sweeps import (
+    BETA_RANGES,
+    GAMMA_RANGES,
+    GUESS_RATIO,
+    LAMBDA_VALUES,
+    fig3_sweep,
+    privacy_metrics,
+)
 
-DATASET = "movielens-mini"
-
-BETA_RANGES = [(0.1, 1.0), (0.3, 1.0), (0.5, 1.0), (0.7, 1.0)]
-GAMMA_RANGES = [(1.0, 4.0), (2.0, 4.0), (3.0, 4.0), (4.0, 4.0)]
-LAMBDA_VALUES = [0.05, 0.1, 0.15, 0.2]
+from repro.sweep import run_sweep
 
 
-def _run():
-    beta_series = []
-    for beta_range in BETA_RANGES:
-        metrics = run_privacy_experiment(DATASET, "sampling+swapping", beta_range=beta_range)
-        beta_series.append((f"[{beta_range[0]:.1f},{beta_range[1]:.0f}]",
-                            metrics["NDCG@20"], metrics["F1"]))
-    gamma_series = []
-    for gamma_range in GAMMA_RANGES:
-        metrics = run_privacy_experiment(DATASET, "sampling+swapping", gamma_range=gamma_range)
-        gamma_series.append((f"[{gamma_range[0]:.0f},{gamma_range[1]:.0f}]",
-                             metrics["NDCG@20"], metrics["F1"]))
-    lambda_series = []
-    for swap_rate in LAMBDA_VALUES:
-        metrics = run_privacy_experiment(DATASET, "sampling+swapping", swap_rate=swap_rate)
-        lambda_series.append((f"{swap_rate:.2f}", metrics["NDCG@20"], metrics["F1"]))
-    return beta_series, gamma_series, lambda_series
+def _run(sweep_store):
+    metrics = privacy_metrics(run_sweep(fig3_sweep(), store=sweep_store))
+
+    def series(name, values, label):
+        return [(label(value), metrics[f"{name}={value}"]["NDCG@20"],
+                 metrics[f"{name}={value}"]["F1"])
+                for value in values]
+
+    return (
+        series("beta", BETA_RANGES, lambda r: f"[{r[0]:.1f},{r[1]:.0f}]"),
+        series("gamma", GAMMA_RANGES, lambda r: f"[{r[0]:.0f},{r[1]:.0f}]"),
+        series("lambda", LAMBDA_VALUES, lambda rate: f"{rate:.2f}"),
+    )
 
 
 @pytest.mark.benchmark(group="fig3")
-def test_fig3_privacy_hyperparameters(benchmark):
-    beta_series, gamma_series, lambda_series = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_fig3_privacy_hyperparameters(benchmark, sweep_store):
+    beta_series, gamma_series, lambda_series = benchmark.pedantic(
+        lambda: _run(sweep_store), rounds=1, iterations=1
+    )
     header = ["Setting", "NDCG@20", f"Attack F1 (guess={GUESS_RATIO})"]
     print_table("Figure 3 — sweep of β sampling range (MovieLens mini)", header, beta_series)
     print_table("Figure 3 — sweep of γ sampling range (MovieLens mini)", header, gamma_series)

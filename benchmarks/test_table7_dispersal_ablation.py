@@ -6,46 +6,44 @@ The server's dispersed dataset D̃ mixes confidence-selected items with hard
 monotone degradation.  At mini scale the differences are small, so the
 bench asserts the weakest variant (all random) does not beat the full
 method.
+
+The twelve runs execute as one :mod:`repro.sweep` sweep (``sweeps.py``);
+the full method on MovieLens is also Figure 4's α = 30 point and Table
+VIII's NeuMF/NGCF cell, so the session's shared store trains it once.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import DATASET_NAMES, PAPER_NAMES, build_dataset, print_table, run_ptf
+from conftest import DATASET_NAMES, PAPER_NAMES, print_table
+from sweeps import DISPERSAL_VARIANTS, run_id, table7_sweep
 
-ABLATION_ROUNDS = 8
-
-MODES = {
-    "PTF-FedRec": "confidence+hard",
-    "-hard": "confidence+random",
-    "-confidence": "random+hard",
-    "-confidence -hard": "random",
-}
+from repro.sweep import run_sweep
 
 
-def _run():
-    results = {}
-    for name in DATASET_NAMES:
-        dataset = build_dataset(name)
-        per_mode = {}
-        for label, mode in MODES.items():
-            metrics, _ = run_ptf(
-                dataset, "ngcf", dispersal_mode=mode, rounds=ABLATION_ROUNDS
-            )
-            per_mode[label] = metrics
-        results[name] = per_mode
-    return results
+def _run(sweep_store):
+    metrics = run_sweep(table7_sweep(), store=sweep_store).stages["metrics"]
+    return {
+        name: {
+            label: {
+                "Recall@20": metrics[run_id(name, label)]["Recall@20"],
+                "NDCG@20": metrics[run_id(name, label)]["NDCG@20"],
+            }
+            for label in DISPERSAL_VARIANTS
+        }
+        for name in DATASET_NAMES
+    }
 
 
 @pytest.mark.benchmark(group="table7")
-def test_table7_dispersal_ablation(benchmark):
-    results = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_table7_dispersal_ablation(benchmark, sweep_store):
+    results = benchmark.pedantic(lambda: _run(sweep_store), rounds=1, iterations=1)
     header = ["Variant"]
     for name in DATASET_NAMES:
         header.extend([f"{PAPER_NAMES[name]} R@20", f"{PAPER_NAMES[name]} N@20"])
     rows = []
-    for label in MODES:
+    for label in DISPERSAL_VARIANTS:
         row = [label]
         for name in DATASET_NAMES:
             row.extend(

@@ -5,37 +5,34 @@ client model (horizontal comparison), and (2) the simplest client model
 (NeuMF) is the best choice because each client has too little data for a
 graph model over its one-hop ego graph (vertical comparison).  The paper
 reports MovieLens-100K; the bench uses its miniature twin.
+
+The nine runs execute as one :mod:`repro.sweep` sweep (``sweeps.py``).
 """
 
 from __future__ import annotations
 
 import pytest
 
-from conftest import build_dataset, print_table, run_ptf
+from conftest import print_table
+from sweeps import COMBINATION_MODELS, table8_sweep
 
-CLIENT_MODELS = ("neumf", "ngcf", "lightgcn")
-SERVER_MODELS = ("neumf", "ngcf", "lightgcn")
-COMBINATION_ROUNDS = 8
+from repro.sweep import run_sweep
+
+CLIENT_MODELS = SERVER_MODELS = COMBINATION_MODELS
 
 
-def _run():
-    dataset = build_dataset("movielens-mini")
-    grid = {}
-    for client_model in CLIENT_MODELS:
-        for server_model in SERVER_MODELS:
-            metrics, _ = run_ptf(
-                dataset,
-                server_model,
-                client_model=client_model,
-                rounds=COMBINATION_ROUNDS,
-            )
-            grid[(client_model, server_model)] = metrics["NDCG@20"]
-    return grid
+def _run(sweep_store):
+    metrics = run_sweep(table8_sweep(), store=sweep_store).stages["metrics"]
+    return {
+        (client_model, server_model): metrics[f"{client_model}/{server_model}"]["NDCG@20"]
+        for client_model in CLIENT_MODELS
+        for server_model in SERVER_MODELS
+    }
 
 
 @pytest.mark.benchmark(group="table8")
-def test_table8_model_combinations(benchmark):
-    grid = benchmark.pedantic(_run, rounds=1, iterations=1)
+def test_table8_model_combinations(benchmark, sweep_store):
+    grid = benchmark.pedantic(lambda: _run(sweep_store), rounds=1, iterations=1)
     header = ["Client \\ Server"] + [name.upper() for name in SERVER_MODELS]
     rows = []
     for client_model in CLIENT_MODELS:
