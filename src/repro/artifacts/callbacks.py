@@ -68,6 +68,6 @@ class CheckpointEveryK(Callback):
     def _save(self, trainer, path: Path) -> None:
         saved = save_checkpoint(path, trainer, spec=self.spec, history=self._records)
         # ``latest`` is a file copy of the checkpoint just written — don't
-        # serialize and compress the whole trainer state a second time.
+        # gather and serialize the whole trainer state a second time.
         copy_checkpoint(saved, self.directory / "latest")
         self.saved_paths.append(saved)

@@ -7,7 +7,9 @@ A checkpoint is a *directory* holding
   so far, dataset identity (shape, fingerprint, split sizes) and the JSON
   twin of the trainer's state tree (see :mod:`repro.artifacts.io`),
 * ``arrays.npz`` — every NumPy array of that state tree (model parameters
-  and buffers, optimizer moments, ledger columns, dataset splits).
+  and buffers, optimizer moments, ledger columns, dataset splits),
+  uncompressed, with per-client arrays stacked into one member per leaf
+  path (see :mod:`repro.artifacts.io`).
 
 The dataset's train/test pairs are embedded, so an artifact is
 self-contained: :meth:`Checkpoint.restore` can rebuild the exact trainer
@@ -25,6 +27,8 @@ import json
 import os
 import shutil
 import time
+import zipfile
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Union
@@ -42,11 +46,15 @@ from repro.experiments.spec import ExperimentSpec
 #: Version 2 added the tensor-backend fields (top-level ``backend`` /
 #: ``dtype`` and ``spec.backend``) — a v1-only reader cannot parse the new
 #: spec dict, so new artifacts must declare 2 to fail cleanly there.
-SCHEMA_VERSION = 2
+#: Version 3 stacks the arrays that sibling client subtrees share into
+#: one ``(clients, ...)`` member each and writes the payload uncompressed;
+#: its ``row`` placeholders mean nothing to a v2-only reader.
+SCHEMA_VERSION = 3
 
 #: Versions this build can read.  Version 1 (pre-backend) manifests load
-#: with the reference float64 backend pinned (see :func:`load_checkpoint`).
-SUPPORTED_SCHEMA_VERSIONS = (1, 2)
+#: with the reference float64 backend pinned (see :func:`load_checkpoint`);
+#: v1 and v2 placeholders carry no ``row`` and read one member each.
+SUPPORTED_SCHEMA_VERSIONS = (1, 2, 3)
 
 MANIFEST_NAME = "manifest.json"
 ARRAYS_NAME = "arrays.npz"
@@ -254,9 +262,9 @@ def save_checkpoint(
     staging.mkdir()
     try:
         with open(staging / ARRAYS_NAME, "wb") as handle:
-            np.savez_compressed(handle, **payload)
+            np.savez(handle, **payload)
         (staging / MANIFEST_NAME).write_text(
-            json.dumps(manifest, indent=2, sort_keys=False), encoding="utf-8"
+            json.dumps(manifest, separators=(",", ":")), encoding="utf-8"
         )
         _swap_directory(staging, path)
     finally:
@@ -271,6 +279,21 @@ def _read_manifest_text(path: Path) -> str:
     if not manifest_path.exists():
         raise FileNotFoundError(f"no checkpoint manifest at {manifest_path}")
     return manifest_path.read_text(encoding="utf-8")
+
+
+def _read_arrays(arrays_path: Path, path: Path) -> Dict[str, np.ndarray]:
+    """Read every member of the payload, or raise ``ValueError`` if corrupt.
+
+    Every member is read in full, so the zip CRC of each is checked
+    (stored members included) before any state is rebuilt.
+    """
+    try:
+        with np.load(arrays_path, allow_pickle=False) as payload:
+            return {key: payload[key] for key in payload.files}
+    except (zipfile.BadZipFile, zlib.error, EOFError, ValueError) as exc:
+        raise ValueError(
+            f"checkpoint at {path} has a corrupt array payload {arrays_path.name}: {exc}"
+        ) from exc
 
 
 #: Attempts :func:`load_checkpoint` makes against a concurrently rewritten
@@ -291,6 +314,11 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
     a transiently missing path is retried — and the load restarts from a
     fresh manifest, so a caller only ever observes a complete old artifact
     or a complete new one.
+
+    A truncated or damaged ``arrays.npz`` raises ``ValueError`` naming the
+    checkpoint, chained to the underlying zip error; every member is read
+    (and CRC-checked) before any state is rebuilt, so no partial state is
+    ever returned.
     """
     path = Path(path)
     manifest_text = _read_manifest_text(path)
@@ -307,8 +335,7 @@ def load_checkpoint(path: Union[str, Path]) -> Checkpoint:
                     f"unsupported checkpoint schema version {version!r} "
                     f"(this build reads versions {SUPPORTED_SCHEMA_VERSIONS})"
                 )
-            with np.load(path / manifest["arrays_file"], allow_pickle=False) as payload:
-                arrays = {key: payload[key] for key in payload.files}
+            arrays = _read_arrays(path / manifest["arrays_file"], path)
             reread = _read_manifest_text(path)
         except FileNotFoundError:
             # Mid-swap window: the old directory was parked and the new

@@ -176,23 +176,36 @@ class PTFFedRec(RoundDriver):
         # Stream the dispersal fan-out shard by shard: dispersal
         # construction reads only server state, so applying one shard
         # before building the next bounds the in-flight dispersal buffer
-        # at O(shard_size) without changing a single record.
+        # at O(shard_size) without changing a single record.  The server
+        # model stays in eval mode throughout, so a graph model propagates
+        # once per round and serves every client from its cache (a mode
+        # flip per prediction would drop that cache each time).
         dispersed_total = 0
         item_mask = self.scenario.arrived_item_mask(round_index)
-        for upload_shard in self.engine.iter_shards(pool):
-            dispersals = self.engine.build_ptf_dispersals(
-                self.server, upload_shard, round_index, item_mask=item_mask
-            )
-            for dispersal in dispersals:
-                self.clients[dispersal.user_id].receive_dispersal(dispersal.items, dispersal.scores)
-                dispersed_total += dispersal.num_records
-                self.ledger.record(
-                    round_index,
-                    dispersal.user_id,
-                    "download",
-                    prediction_triple_bytes(dispersal.num_records),
-                    description="server dispersed predictions",
+        server_model = self.server.model
+        was_training = server_model.training
+        if was_training:
+            server_model.eval()
+        try:
+            for upload_shard in self.engine.iter_shards(pool):
+                dispersals = self.engine.build_ptf_dispersals(
+                    self.server, upload_shard, round_index, item_mask=item_mask
                 )
+                for dispersal in dispersals:
+                    self.clients[dispersal.user_id].receive_dispersal(
+                        dispersal.items, dispersal.scores
+                    )
+                    dispersed_total += dispersal.num_records
+                    self.ledger.record(
+                        round_index,
+                        dispersal.user_id,
+                        "download",
+                        prediction_triple_bytes(dispersal.num_records),
+                        description="server dispersed predictions",
+                    )
+        finally:
+            if was_training:
+                server_model.train(True)
 
         summary = RoundSummary(
             round_index=round_index,

@@ -79,16 +79,23 @@ class Recommender(Module):
         return np.asarray(scores, dtype=np.float64).reshape(-1)
 
     def score_pairs(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Score arbitrary pairs without recording gradients."""
+        """Score arbitrary pairs without recording gradients.
+
+        Modes flip only when the model arrives in training mode: a caller
+        that holds it in eval mode keeps a graph model's propagation cache
+        across calls (a mode flip invalidates it).
+        """
         was_training = self.training
-        self.eval()
+        if was_training:
+            self.eval()
         try:
             with no_grad():
                 scores = self.score(
                     np.asarray(users, dtype=np.int64), np.asarray(items, dtype=np.int64)
                 ).numpy()
         finally:
-            self.train(was_training)
+            if was_training:
+                self.train(True)
         return np.asarray(scores, dtype=np.float64).reshape(-1)
 
     def recommend(

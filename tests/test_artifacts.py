@@ -8,11 +8,18 @@ exact array equality — for every trainer and every execution scheduler.
 
 from __future__ import annotations
 
+import io
 import json
 import pickle
+import shutil
+import struct
+import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 import repro
 from repro.artifacts import (
@@ -515,3 +522,230 @@ class TestLoadDuringRewrite:
         monkeypatch.setattr(checkpoint_module, "_read_manifest_text", flapping)
         with pytest.raises(RuntimeError, match="kept changing"):
             load_checkpoint(tmp_path / "ck")
+
+
+# ----------------------------------------------------------------------
+# Stacked layout (schema v3): per-client arrays share one member per leaf
+# ----------------------------------------------------------------------
+_DTYPES = [np.bool_, np.int32, np.int64, np.float32, np.float64]
+_SHAPES = [(), (0,), (3,), (2, 3), (1, 0, 2)]
+_LEAF_NAMES = ["w", "b", "items", "scores"]
+
+
+@st.composite
+def _arrays(draw, dtype=None, shape=None):
+    dtype = draw(st.sampled_from(_DTYPES)) if dtype is None else dtype
+    shape = draw(st.sampled_from(_SHAPES)) if shape is None else shape
+    return draw(hnp.arrays(dtype, shape))
+
+
+@st.composite
+def _sibling_trees(draw):
+    """Client-like sibling subtrees over one drawn layout, each of which may
+    drop a leaf or hold it with another shape or dtype."""
+    layout = draw(st.dictionaries(
+        st.sampled_from(_LEAF_NAMES),
+        st.tuples(st.sampled_from(_DTYPES), st.sampled_from(_SHAPES)),
+        min_size=1,
+    ))
+    clients = {}
+    for client in draw(st.lists(st.integers(0, 99), min_size=2, max_size=5, unique=True)):
+        leaves = {}
+        for name, (dtype, shape) in layout.items():
+            variant = draw(st.sampled_from(["same", "same", "missing", "other"]))
+            if variant == "missing":
+                continue
+            if variant == "other":
+                leaves[name] = draw(_arrays())
+            else:
+                leaves[name] = draw(_arrays(dtype, shape))
+        moments = draw(st.integers(0, 2))  # an optimizer that may never have stepped
+        clients[client] = {
+            "model": leaves,
+            "optimizer": {
+                "steps": {index: 1 for index in range(moments)},
+                "first_moment": {index: draw(_arrays(np.float64, (3,))) for index in range(moments)},
+                "second_moment": {index: draw(_arrays(np.float64, (3,))) for index in range(moments)},
+            },
+            "history": [draw(st.integers(-5, 5)), None, draw(_arrays())],
+        }
+    return {"state": {"clients": clients, "server": {"w": draw(_arrays())}, "rounds": 3},
+            "dataset": {"train_pairs": draw(_arrays(np.int64, (2, 3)))}}
+
+
+def _leaves(tree):
+    if isinstance(tree, dict):
+        for value in tree.values():
+            yield from _leaves(value)
+    elif isinstance(tree, (list, tuple)):
+        for value in tree:
+            yield from _leaves(value)
+    elif isinstance(tree, np.ndarray):
+        yield tree
+
+
+def _assert_bitwise_equal(left, right, path=""):
+    """Like assert_states_equal, but NaN-safe: arrays compare as raw bytes."""
+    if isinstance(left, np.ndarray):
+        assert isinstance(right, np.ndarray), path
+        assert (left.dtype, left.shape) == (right.dtype, right.shape), path
+        assert left.tobytes() == right.tobytes(), path
+    elif isinstance(left, dict):
+        assert set(map(str, left)) == set(right), path
+        for key, value in left.items():
+            _assert_bitwise_equal(value, right[str(key)], f"{path}/{key}")
+    elif isinstance(left, (list, tuple)):
+        assert len(left) == len(right), path
+        for index, (a, b) in enumerate(zip(left, right)):
+            _assert_bitwise_equal(a, b, f"{path}/{index}")
+    else:
+        assert left == right, path
+
+
+def _assert_no_shared_memory(tree):
+    leaves = list(_leaves(tree))
+    for index, left in enumerate(leaves):
+        for right in leaves[index + 1:]:
+            assert not np.shares_memory(left, right)
+
+
+def _npz_roundtrip(arrays):
+    buffer = io.BytesIO()
+    np.savez(buffer, **arrays)
+    buffer.seek(0)
+    with np.load(buffer, allow_pickle=False) as payload:
+        return {key: payload[key] for key in payload.files}
+
+
+class TestStackedLayout:
+    @settings(max_examples=60, deadline=None)
+    @given(_sibling_trees())
+    def test_roundtrip_is_exact_and_unshared(self, tree):
+        twin, arrays = flatten_state(tree)
+        json.dumps(twin)
+        rebuilt = unflatten_state(json.loads(json.dumps(twin)), _npz_roundtrip(arrays))
+        _assert_bitwise_equal(tree, rebuilt)
+        _assert_no_shared_memory(rebuilt)
+
+    def test_sibling_leaves_share_one_member(self):
+        clients = {user: {"w": np.full((2, 3), user, dtype=np.float32),
+                          "items": np.arange(user)}
+                   for user in (1, 2, 3)}
+        twin, arrays = flatten_state({"clients": clients})
+        assert np.asarray(arrays["clients/*/w"]).shape == (3, 2, 3)
+        assert twin["clients"]["2"]["w"] == {"__array__": "clients/*/w", "row": 1}
+        # Ragged leaves match no sibling and keep one member each.
+        assert {"clients/1/items", "clients/2/items", "clients/3/items"} <= set(arrays)
+        assert twin["clients"]["3"]["items"] == {"__array__": "clients/3/items"}
+
+    def test_outer_siblings_claim_before_inner_ones(self):
+        """Adam's moment dicts are themselves siblings; the per-client level
+        stacks them first, so the member count does not grow with clients."""
+        def client():
+            return {"optimizer": {"first_moment": {0: np.zeros(2)},
+                                  "second_moment": {0: np.ones(2)}}}
+
+        _, arrays = flatten_state({"clients": {user: client() for user in range(4)}})
+        assert sorted(arrays) == ["clients/*/optimizer/first_moment/0",
+                                  "clients/*/optimizer/second_moment/0"]
+
+    def test_wildcard_key_is_rejected(self):
+        with pytest.raises(ValueError, match="collide"):
+            flatten_state({"clients": {"*": {"w": np.zeros(1)}, "1": {"w": np.zeros(1)}}})
+
+    def test_member_count_does_not_grow_with_clients(self, tmp_path):
+        from repro.data import debug_dataset
+        from repro.utils import RngFactory
+
+        counts = []
+        for users in (10, 25):
+            dataset = debug_dataset(RngFactory(1).spawn("layout"), num_users=users,
+                                    num_items=100, num_interactions=8 * users)
+            adapter = create_trainer(tiny_spec(rounds=1, alpha=5), dataset).fit()
+            path = save_checkpoint(tmp_path / f"ck-{users}", adapter)
+            with np.load(path / "arrays.npz") as payload:
+                counts.append(len(payload.files))
+        assert counts[0] == counts[1]
+
+    def test_restored_checkpoint_leaves_share_no_memory(self, tiny_dataset, tmp_path):
+        adapter = create_trainer(tiny_spec(rounds=1), tiny_dataset).fit()
+        save_checkpoint(tmp_path / "ck", adapter)
+        checkpoint = load_checkpoint(tmp_path / "ck")
+        assert checkpoint.schema_version == SCHEMA_VERSION == 3
+        _assert_no_shared_memory(checkpoint.state)
+        assert_states_equal(checkpoint.restore().state_dict(), adapter.state_dict())
+
+
+# ----------------------------------------------------------------------
+# Checkpoints written by schema v2 (the compressed per-array layout)
+# ----------------------------------------------------------------------
+FIXTURES = Path(__file__).parent / "fixtures" / "checkpoints"
+
+
+class TestSchemaV2Fixtures:
+    """Small checkpoints written before the stacked layout, one round in."""
+
+    @pytest.mark.parametrize("name", ["ptf-v2", "fcf-v2"])
+    def test_v2_checkpoint_resumes_identically(self, name):
+        path = FIXTURES / name
+        checkpoint = load_checkpoint(path)
+        assert checkpoint.schema_version == 2 and checkpoint.rounds_completed == 1
+        spec = checkpoint.spec.replace(rounds=2)
+        dataset = checkpoint.dataset()
+
+        full = repro.run(spec, dataset)
+        resumed = repro.run(spec, resume_from=path)
+        assert resumed.history == full.history
+        assert resumed.final == full.final
+        assert resumed.communication == full.communication
+        assert resumed.privacy == full.privacy
+
+        # Parameters, optimizer state and the ledger: the full state tree.
+        uninterrupted = create_trainer(spec, dataset).fit()
+        continued = load_checkpoint(path).restore()
+        continued.fit(rounds=1)
+        assert_states_equal(continued.state_dict(), uninterrupted.state_dict())
+
+    def test_v2_placeholders_carry_no_row(self):
+        manifest = json.loads((FIXTURES / "ptf-v2" / "manifest.json").read_text())
+        assert manifest["schema_version"] == 2
+        assert set(manifest["state"]["clients"]["0"]["server_items"]) == {"__array__"}
+
+
+# ----------------------------------------------------------------------
+# Corrupt payloads fail loudly
+# ----------------------------------------------------------------------
+def _flip_member_byte(path):
+    """Flip one byte in the middle of the payload's largest member."""
+    arrays_path = path / "arrays.npz"
+    with zipfile.ZipFile(arrays_path) as archive:
+        info = max(archive.infolist(), key=lambda entry: entry.compress_size)
+    data = bytearray(arrays_path.read_bytes())
+    name_length, extra_length = struct.unpack("<HH", data[info.header_offset + 26:
+                                                          info.header_offset + 30])
+    start = info.header_offset + 30 + name_length + extra_length
+    data[start + info.compress_size // 2] ^= 0xFF
+    arrays_path.write_bytes(bytes(data))
+
+
+def _truncate(path):
+    arrays_path = path / "arrays.npz"
+    data = arrays_path.read_bytes()
+    arrays_path.write_bytes(data[: len(data) // 2])
+
+
+class TestCorruptPayload:
+    @pytest.fixture(params=["v3", "v2"])
+    def checkpoint_path(self, request, tiny_dataset, tmp_path):
+        if request.param == "v2":
+            return Path(shutil.copytree(FIXTURES / "ptf-v2", tmp_path / "ck"))
+        adapter = create_trainer(tiny_spec(rounds=1), tiny_dataset).fit()
+        return save_checkpoint(tmp_path / "ck", adapter)
+
+    @pytest.mark.parametrize("corrupt", [_truncate, _flip_member_byte])
+    def test_corrupt_arrays_raise_value_error(self, checkpoint_path, corrupt):
+        corrupt(checkpoint_path)
+        with pytest.raises(ValueError, match="corrupt array payload") as raised:
+            load_checkpoint(checkpoint_path)
+        assert str(checkpoint_path) in str(raised.value)
+        assert isinstance(raised.value.__cause__, zipfile.BadZipFile)

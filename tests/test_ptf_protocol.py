@@ -76,6 +76,37 @@ class TestProtocolRounds:
         assert 0.0 <= result.recall <= 1.0
 
 
+class TestDispersalPropagation:
+    """The server's graph model propagates once per round's dispersal."""
+
+    @pytest.mark.parametrize("scheduler", ["serial", "batched"])
+    def test_one_propagation_serves_every_client(self, tiny_dataset, monkeypatch, scheduler):
+        from repro.core.server import PTFServer
+        from repro.models.ngcf import NGCF
+
+        calls = {"propagate": 0}
+        real_propagate = NGCF.propagate
+        real_train = PTFServer.train_on_uploads
+
+        def counting_propagate(model):
+            calls["propagate"] += 1
+            return real_propagate(model)
+
+        def train_then_reset(server, *args, **kwargs):
+            loss = real_train(server, *args, **kwargs)
+            calls["propagate"] = 0  # count the dispersal only
+            return loss
+
+        monkeypatch.setattr(NGCF, "propagate", counting_propagate)
+        monkeypatch.setattr(PTFServer, "train_on_uploads", train_then_reset)
+        system = PTFFedRec(tiny_dataset, _config(rounds=1, scheduler=scheduler))
+        summary = system.run_round(0)
+
+        assert summary.num_clients > 1 and summary.dispersed_records > 0
+        assert calls["propagate"] == 1
+        assert system.server.model.training  # training mode is restored
+
+
 class TestModelPrivacyInvariants:
     def test_no_model_parameters_cross_the_wire(self, tiny_dataset):
         # The core claim of the paper: every transmitted byte is a
