@@ -30,8 +30,9 @@ same sweep definitions.
 from __future__ import annotations
 
 import os
+import statistics
 import tempfile
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence, Tuple
 
 import pytest
 
@@ -145,6 +146,30 @@ def ptf_spec(server_model: str, **overrides) -> ExperimentSpec:
 # ----------------------------------------------------------------------
 # Output helpers
 # ----------------------------------------------------------------------
+def paired_speedup(reference: Callable[[], Tuple[float, Any]],
+                   candidate: Callable[[], Tuple[float, Any]],
+                   pairs: int) -> Tuple[float, float, float]:
+    """Time two execution paths in ``pairs`` interleaved pairs.
+
+    Each callable runs its path once and returns ``(seconds, output)``;
+    every pair's outputs must be ``==``.  Returns the median seconds of
+    each side and the median per-pair ratio ``reference / candidate``.
+    Timing both sides back to back, equally often, in one process exposes
+    them to the same host load, so a loaded host moves both times rather
+    than the ratio.
+    """
+    reference_s, candidate_s, ratios = [], [], []
+    for _ in range(pairs):
+        ref_seconds, ref_output = reference()
+        cand_seconds, cand_output = candidate()
+        assert ref_output == cand_output
+        reference_s.append(ref_seconds)
+        candidate_s.append(cand_seconds)
+        ratios.append(ref_seconds / cand_seconds)
+    return (statistics.median(reference_s), statistics.median(candidate_s),
+            statistics.median(ratios))
+
+
 def print_table(title: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Print an aligned text table (the benchmark's real output)."""
     rows = [[_format_cell(cell) for cell in row] for row in rows]

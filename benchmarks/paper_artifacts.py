@@ -31,7 +31,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent))
 from conftest import print_table  # noqa: E402
 import sweeps  # noqa: E402
 
-from repro.sweep import ArtifactStore, SweepReport, run_sweep  # noqa: E402
+from repro.sweep import ArtifactStore, SweepReport, final_metrics, run_sweep  # noqa: E402
 
 #: The benchmark modules that regenerate the non-sweep artifacts.
 PYTEST_ARTIFACTS = (
@@ -47,7 +47,7 @@ PYTEST_ARTIFACTS = (
 def _table3(store: ArtifactStore, workers: Optional[int]) -> SweepReport:
     outcome = run_sweep(sweeps.table3_sweep(), store=store, workers=workers,
                         progress=print)
-    results = sweeps.table3_results(outcome.stages["metrics"])
+    results = sweeps.table3_results(final_metrics(outcome.results))
     print_table(
         "Table III — recommendation performance (mini scale)",
         sweeps.table3_header(),
@@ -59,7 +59,7 @@ def _table3(store: ArtifactStore, workers: Optional[int]) -> SweepReport:
 def _table4(store: ArtifactStore, workers: Optional[int]) -> SweepReport:
     outcome = run_sweep(sweeps.table4_sweep(), store=store, workers=workers,
                         progress=print)
-    costs = sweeps.table4_costs(outcome.stages["communication"])
+    costs = sweeps.table4_costs(outcome.results)
     print_table(
         "Table IV (measured on mini datasets, per client per round)",
         ["Dataset", "FCF", "FedMF (HE)", "MetaMF", "PTF-FedRec", "best baseline / PTF"],
@@ -74,7 +74,7 @@ def _fig4(store: ArtifactStore, workers: Optional[int]) -> SweepReport:
     print_table(
         "Figure 4 — dispersed dataset size α (MovieLens mini)",
         ["alpha", "NDCG@20", "Recall@20"],
-        sweeps.fig4_series(outcome.stages["metrics"]),
+        sweeps.fig4_series(final_metrics(outcome.results)),
     )
     return outcome.report
 

@@ -2,7 +2,7 @@
 
 One module owns the *declarative* description of every multi-experiment
 artifact — which experiments run on which datasets and how their results
-are aggregated — so the pytest benchmarks of Tables III-VIII and Figures
+are read back — so the pytest benchmarks of Tables III-VIII and Figures
 3 and 4 and the one-shot regenerator (``benchmarks/paper_artifacts.py``)
 execute the exact same runs through :class:`repro.sweep.Sweep` and share
 its fingerprint cache: a run two tables share trains once per store.
@@ -27,7 +27,8 @@ from conftest import (
     ptf_spec,
 )
 
-from repro.sweep import RunSpec, StageSpec, SweepSpec
+from repro import RunResult
+from repro.sweep import RunSpec, SweepSpec
 
 #: Model line-up of Table III, in the paper's row order.
 CENTRALIZED_MODELS = ("neumf", "ngcf", "lightgcn")
@@ -57,7 +58,7 @@ def run_id(dataset: str, method: str) -> str:
 # Table III — recommendation performance of all methods on all datasets
 # ----------------------------------------------------------------------
 def table3_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
-    """Nine methods per dataset, aggregated into final ranking metrics."""
+    """Nine methods per dataset, read back as final ranking metrics."""
     runs: List[RunSpec] = []
     for name in datasets:
         dataset = mini_dataset(name)
@@ -73,16 +74,12 @@ def table3_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
             # not touch the ranking metrics this table reports.
             runs.append(RunSpec(run_id(name, f"ptf-{model}"),
                                 ptf_spec(model, audit_privacy=False), dataset))
-    return SweepSpec(
-        name="table3",
-        runs=runs,
-        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
-    )
+    return SweepSpec(name="table3", runs=runs)
 
 
 def table3_results(metrics: Dict[str, Dict[str, float]],
                    datasets: Sequence[str] = DATASET_NAMES) -> Dict[str, Dict[str, Dict[str, float]]]:
-    """Reshape the ``metrics`` stage into the benchmark's nested layout:
+    """Reshape :func:`repro.sweep.final_metrics` into the benchmark's nested layout:
     ``{dataset: {method label: {"Recall@20": ..., "NDCG@20": ...}}}``."""
     results: Dict[str, Dict[str, Dict[str, float]]] = {}
     for name in datasets:
@@ -120,7 +117,7 @@ def table3_header(datasets: Sequence[str] = DATASET_NAMES) -> List[str]:
 # Table IV — measured per-client per-round communication cost
 # ----------------------------------------------------------------------
 def table4_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
-    """Short runs of every communicating paradigm, aggregated into ledger
+    """Short runs of every communicating paradigm, read back as ledger
     totals (the analytic paper-scale half of Table IV needs no training —
     see ``test_table4_communication.py``)."""
     runs: List[RunSpec] = []
@@ -138,26 +135,21 @@ def table4_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
                      audit_privacy=False),
             dataset,
         ))
-    return SweepSpec(
-        name="table4",
-        runs=runs,
-        stages=[StageSpec(name="communication", aggregator="communication")],
-    )
+    return SweepSpec(name="table4", runs=runs)
 
 
-def table4_costs(communication: Dict[str, Dict[str, float]],
+def table4_costs(results: Dict[str, RunResult],
                  datasets: Sequence[str] = DATASET_NAMES) -> Dict[str, Dict[str, float]]:
-    """``{dataset: {method label: KB per client per round}}`` from the
-    ``communication`` stage."""
-    costs: Dict[str, Dict[str, float]] = {}
-    for name in datasets:
-        costs[name] = {
-            "FCF": communication[run_id(name, "fcf")]["average_client_round_kilobytes"],
-            "FedMF": communication[run_id(name, "fedmf")]["average_client_round_kilobytes"],
-            "MetaMF": communication[run_id(name, "metamf")]["average_client_round_kilobytes"],
-            "PTF-FedRec": communication[run_id(name, "ptf")]["average_client_round_kilobytes"],
+    """``{dataset: {method label: KB per client per round}}`` from the runs'
+    communication-ledger totals."""
+    labels = {"FCF": "fcf", "FedMF": "fedmf", "MetaMF": "metamf", "PTF-FedRec": "ptf"}
+    return {
+        name: {
+            label: results[run_id(name, method)].communication.average_client_round_kilobytes
+            for label, method in labels.items()
         }
-    return costs
+        for name in datasets
+    }
 
 
 def table4_rows(costs: Dict[str, Dict[str, float]],
@@ -189,15 +181,12 @@ def fig4_sweep(dataset: str = "movielens-mini") -> SweepSpec:
         )
         for alpha in ALPHA_VALUES
     ]
-    return SweepSpec(
-        name="fig4",
-        runs=runs,
-        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
-    )
+    return SweepSpec(name="fig4", runs=runs)
 
 
 def fig4_series(metrics: Dict[str, Dict[str, float]]) -> List[tuple]:
-    """The benchmark's ``(alpha, ndcg, recall)`` series from the stage."""
+    """The benchmark's ``(alpha, ndcg, recall)`` series from
+    :func:`repro.sweep.final_metrics`."""
     series = []
     for alpha in ALPHA_VALUES:
         entry = metrics[f"alpha={alpha}"]
@@ -306,7 +295,6 @@ def table7_sweep(datasets: Sequence[str] = DATASET_NAMES) -> SweepSpec:
             for name in datasets
             for label, mode in DISPERSAL_VARIANTS.items()
         ],
-        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
     )
 
 
@@ -330,5 +318,4 @@ def table8_sweep(dataset: str = "movielens-mini") -> SweepSpec:
             for client in COMBINATION_MODELS
             for server in COMBINATION_MODELS
         ],
-        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
     )

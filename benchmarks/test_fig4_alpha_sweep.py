@@ -17,12 +17,12 @@ import pytest
 from conftest import print_table
 from sweeps import fig4_series, fig4_sweep
 
-from repro.sweep import run_sweep
+from repro.sweep import final_metrics, run_sweep
 
 
 def _run(sweep_store):
     outcome = run_sweep(fig4_sweep(), store=sweep_store)
-    return fig4_series(outcome.stages["metrics"])
+    return fig4_series(final_metrics(outcome.results))
 
 
 @pytest.mark.benchmark(group="fig4")

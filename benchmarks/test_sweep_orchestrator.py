@@ -26,7 +26,7 @@ from conftest import TOP_K, baseline_spec, build_dataset, mini_dataset, print_ta
 from sweeps import run_id
 
 from repro.experiments import create_trainer
-from repro.sweep import RunSpec, StageSpec, SweepSpec, run_sweep
+from repro.sweep import RunSpec, SweepSpec, final_metrics, run_sweep
 
 #: Reduced grid: enough runs to amortize pool startup, small enough to
 #: train twice (hand-rolled + sweep) in one benchmark session.
@@ -48,11 +48,7 @@ def grid_sweep() -> SweepSpec:
         for name in GRID_DATASETS
         for method, spec in _grid_specs().items()
     ]
-    return SweepSpec(
-        name="orchestrator-grid",
-        runs=runs,
-        stages=[StageSpec(name="metrics", aggregator="final-metrics")],
-    )
+    return SweepSpec(name="orchestrator-grid", runs=runs)
 
 
 def hand_rolled_loop() -> Dict[str, Dict[str, float]]:
@@ -73,7 +69,7 @@ def hand_rolled_loop() -> Dict[str, Dict[str, float]]:
 
 
 def sweep_metrics(outcome) -> Dict[str, Dict[str, float]]:
-    metrics = outcome.stages["metrics"]
+    metrics = final_metrics(outcome.results)
     return {
         rid: {
             "Recall@20": entry[f"Recall@{entry['k']}"],

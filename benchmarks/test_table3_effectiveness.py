@@ -24,12 +24,12 @@ import pytest
 from conftest import DATASET_NAMES, print_table
 from sweeps import table3_header, table3_results, table3_rows, table3_sweep
 
-from repro.sweep import run_sweep
+from repro.sweep import final_metrics, run_sweep
 
 
 def _run_sweep(sweep_store):
     outcome = run_sweep(table3_sweep(), store=sweep_store)
-    return table3_results(outcome.stages["metrics"])
+    return table3_results(final_metrics(outcome.results))
 
 
 @pytest.mark.benchmark(group="table3")

@@ -7,9 +7,9 @@ paper's full dataset sizes and the measured ledger values from short runs
 on the miniature datasets.
 
 The measured half runs as one :mod:`repro.sweep` sweep (``sweeps.py``,
-shared with ``paper_artifacts.py``), its ``communication`` stage
-aggregating every run's ledger totals; the analytic half is arithmetic and
-needs no training at all.
+shared with ``paper_artifacts.py``), and ``sweeps.table4_costs`` reads
+every run's ledger totals; the analytic half is arithmetic and needs no
+training at all.
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def _analytic_rows():
 
 def _measured_rows(sweep_store):
     outcome = run_sweep(table4_sweep(), store=sweep_store)
-    return table4_rows(table4_costs(outcome.stages["communication"]))
+    return table4_rows(table4_costs(outcome.results))
 
 
 def test_table4_communication_costs(benchmark, sweep_store):

@@ -19,11 +19,11 @@ import pytest
 from conftest import DATASET_NAMES, PAPER_NAMES, print_table
 from sweeps import DISPERSAL_VARIANTS, run_id, table7_sweep
 
-from repro.sweep import run_sweep
+from repro.sweep import final_metrics, run_sweep
 
 
 def _run(sweep_store):
-    metrics = run_sweep(table7_sweep(), store=sweep_store).stages["metrics"]
+    metrics = final_metrics(run_sweep(table7_sweep(), store=sweep_store).results)
     return {
         name: {
             label: {

@@ -16,13 +16,13 @@ import pytest
 from conftest import print_table
 from sweeps import COMBINATION_MODELS, table8_sweep
 
-from repro.sweep import run_sweep
+from repro.sweep import final_metrics, run_sweep
 
 CLIENT_MODELS = SERVER_MODELS = COMBINATION_MODELS
 
 
 def _run(sweep_store):
-    metrics = run_sweep(table8_sweep(), store=sweep_store).stages["metrics"]
+    metrics = final_metrics(run_sweep(table8_sweep(), store=sweep_store).results)
     return {
         (client_model, server_model): metrics[f"{client_model}/{server_model}"]["NDCG@20"]
         for client_model in CLIENT_MODELS

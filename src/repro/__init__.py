@@ -29,9 +29,9 @@ Recommender System" (ICDE 2024).  The package is organised bottom-up:
   service: batched top-k recommendations from a saved artifact, with an
   LRU score cache and a popularity cold-start fallback,
 * :mod:`repro.sweep` — declarative, parallel, fingerprint-cached sweeps:
-  a :class:`~repro.sweep.SweepSpec` of experiment grids plus derived
-  aggregation stages, executed by :class:`~repro.sweep.Sweep` with
-  crash-resume for free (``python -m repro.sweep sweep.json``).
+  a :class:`~repro.sweep.SweepSpec` of experiment grids, executed by
+  :class:`~repro.sweep.Sweep` with crash-resume for free
+  (``python -m repro.sweep sweep.json``).
 
 Quickstart::
 

@@ -34,8 +34,8 @@ or, through the experiment API:
 
 >>> import repro
 >>> spec = repro.ExperimentSpec(trainer="ptf", engine={"scheduler": "batched"})
->>> spec.engine.max_cohort
-128
+>>> spec.engine.shard_size          # default: the whole cohort in one shard
+0
 """
 
 from repro.engine.batch import (

@@ -70,21 +70,18 @@ def create_scheduler(spec: Optional[EngineSpec] = None) -> "Scheduler":
 
 
 def _group_plans(
-    plans: Sequence[Tuple[int, ClientTrainingPlan]], max_cohort: int
+    plans: Sequence[Tuple[int, ClientTrainingPlan]],
 ) -> List[List[Tuple[int, ClientTrainingPlan]]]:
-    """Group (user, plan) pairs by batch signature, bounded by ``max_cohort``.
+    """Group (user, plan) pairs by batch signature.
 
-    Clients are independent, so grouping/chunking only changes how much
+    The caller passes one shard, so ``EngineSpec.shard_size`` bounds every
+    group.  Clients are independent, so grouping only changes how much
     work is stacked together — never any result.
     """
     buckets: Dict[tuple, List[Tuple[int, ClientTrainingPlan]]] = {}
     for user, plan in plans:
         buckets.setdefault(plan.signature, []).append((user, plan))
-    groups: List[List[Tuple[int, ClientTrainingPlan]]] = []
-    for members in buckets.values():
-        for start in range(0, len(members), max_cohort):
-            groups.append(members[start:start + max_cohort])
-    return groups
+    return list(buckets.values())
 
 
 def _payload_format(driver) -> str:
@@ -302,15 +299,10 @@ class BatchedScheduler(Scheduler):
                     losses[user] = 0.0
                 else:
                     pending.append((user, plan))
-            for group in _group_plans(pending, self.spec.max_cohort):
+            for group in _group_plans(pending):
                 members = [clients[user] for user, _ in group]
                 batch = ClientBatch.for_ptf_clients(members, [plan for _, plan in group])
                 if batch is None:
-                    if self.spec.fallback == "error":
-                        raise NotImplementedError(
-                            f"no stacked implementation for "
-                            f"{type(members[0].model).__name__} client models"
-                        )
                     for user, _ in group:
                         losses[user] = clients[user].local_train(round_index)
                     continue
@@ -359,14 +351,10 @@ class BatchedScheduler(Scheduler):
             # full-table dicts on the dense path, rows-touched SparseDeltas
             # on the sparse path — either way bounded by shard size.
             shard_deltas: Dict[int, dict] = {}
-            for group in _group_plans(pending, self.spec.max_cohort):
+            for group in _group_plans(pending):
                 users = [user for user, _ in group]
                 stacked = stack_models([model] * len(users), user_rows=users)
                 if stacked is None:
-                    if self.spec.fallback == "error":
-                        raise NotImplementedError(
-                            f"no stacked implementation for {type(model).__name__}"
-                        )
                     return super().train_fedavg_clients(
                         driver, selected, round_index, global_state
                     )

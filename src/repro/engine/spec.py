@@ -9,7 +9,7 @@ seed, because all client randomness is spawned from
 
 Example — select the vectorized scheduler and bound cohort memory:
 
->>> spec = EngineSpec(scheduler="batched", max_cohort=64)
+>>> spec = EngineSpec(scheduler="batched", shard_size=64)
 >>> spec.scheduler
 'batched'
 >>> EngineSpec(scheduler="teleport")
@@ -43,16 +43,6 @@ class EngineSpec:
     ``scheduler``
         One of :data:`SCHEDULER_MODES`.  All schedulers produce bit-identical
         results on the same seed; they differ only in speed and footprint.
-    ``max_cohort``
-        Upper bound on how many clients the batched scheduler stacks into a
-        single :class:`~repro.engine.batch.ClientBatch`.  Stacked state costs
-        ``O(max_cohort × model size)`` memory, so lower it for large models
-        and raise it for tiny ones.  Chunking never changes results — clients
-        are independent.
-    ``fallback``
-        What the batched scheduler does with a client model it has no stacked
-        implementation for: ``"serial"`` quietly trains those clients on the
-        reference path, ``"error"`` raises.
     ``payload``
         One of :data:`PAYLOAD_FORMATS`.  ``"sparse"`` makes the FedAvg-style
         drivers exchange rows-touched :class:`~repro.tensor.sparse.SparseDelta`
@@ -63,15 +53,18 @@ class EngineSpec:
         natively sparse, so the knob is a no-op there.
     ``shard_size``
         Stream each round's cohort through the schedulers in contiguous
-        shards of at most this many clients (``0`` = one shard).  Sharding
-        bounds peak memory — per-shard plan and payload buffers never exceed
-        ``O(shard_size)`` — and never changes results: shards are processed
-        in cohort order, so aggregation performs the exact same additions.
+        shards of at most this many clients (``0`` = one shard).  This is
+        the one cohort memory bound: per-shard plan and payload buffers,
+        and the batched scheduler's stacked client state, never exceed
+        ``O(shard_size)`` clients.  Sharding never changes results: shards
+        are processed in cohort order, so aggregation performs the exact
+        same additions.
+
+    The batched scheduler trains any client model it has no stacked
+    implementation for (NGCF, LightGCN) on the serial reference path.
     """
 
     scheduler: str = "serial"
-    max_cohort: int = 128
-    fallback: str = "serial"
     payload: str = "dense"
     shard_size: int = 0
 
@@ -79,12 +72,6 @@ class EngineSpec:
         if self.scheduler not in SCHEDULER_MODES:
             raise ValueError(
                 f"scheduler must be one of {SCHEDULER_MODES}, got {self.scheduler!r}"
-            )
-        if self.max_cohort <= 0:
-            raise ValueError(f"max_cohort must be positive, got {self.max_cohort}")
-        if self.fallback not in ("serial", "error"):
-            raise ValueError(
-                f"fallback must be 'serial' or 'error', got {self.fallback!r}"
             )
         if self.payload not in PAYLOAD_FORMATS:
             raise ValueError(

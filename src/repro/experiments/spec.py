@@ -261,9 +261,12 @@ _FLAT_FIELDS["dispersal_mode"] = ("dispersal", "mode")  # reads better than bare
 
 def _section_from_dict(section_cls: type, data: Mapping[str, Any]):
     if section_cls is EngineSpec:
-        # Specs stored before the multiprocess scheduler was removed carry
-        # its execution-only ``workers`` knob; drop it so they stay loadable.
-        data = {key: value for key, value in data.items() if key != "workers"}
+        # Stored specs may carry execution-only knobs that were removed
+        # (``workers`` with the multiprocess scheduler, ``max_cohort`` and
+        # ``fallback`` once ``shard_size`` became the one cohort bound);
+        # drop them so those specs stay loadable.
+        data = {key: value for key, value in data.items()
+                if key not in ("workers", "max_cohort", "fallback")}
         if data.get("scheduler") == "multiprocess":
             raise ValueError(
                 'the "multiprocess" scheduler was removed; use scheduler="batched" '

@@ -1,13 +1,16 @@
 """Command-line entry point: ``python -m repro.sweep <sweep.json>``.
 
 Executes a declarative sweep file (see :meth:`repro.sweep.SweepSpec.from_dict`
-for the format and ``docs/sweeps.md`` for a guide), prints each stage's
-output as JSON, and exits:
+for the format and ``docs/sweeps.md`` for a guide), prints every run's
+final ranking metrics (:func:`repro.sweep.final_metrics`) as JSON followed
+by the one-line summary, and exits:
 
 * ``0`` — every run completed (executed or served from cache),
 * ``1`` — one or more runs failed (completed runs stay cached, so fixing
-  the failure and re-invoking performs only the missing work),
-* ``2`` — usage error: unreadable sweep file, invalid spec, bad DAG.
+  the failure and re-invoking performs only the missing work), or a
+  stored artifact is unreadable (the message names its slot),
+* ``2`` — usage error: unreadable sweep file or invalid spec (including
+  one that still declares ``stages``).
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import sys
 from pathlib import Path
 from typing import List, Optional
 
-from repro.sweep.runner import Sweep, SweepError
+from repro.sweep.runner import Sweep, SweepError, final_metrics
 from repro.sweep.spec import SweepSpec
 
 
@@ -40,10 +43,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--report", metavar="PATH", default=None,
         help="write the telemetry report JSON to PATH (the CI artifact)",
-    )
-    parser.add_argument(
-        "--stages-json", metavar="PATH", default=None,
-        help="additionally write every stage's output to PATH as JSON",
     )
     parser.add_argument(
         "--quiet", action="store_true",
@@ -71,26 +70,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         store = str(sweep_path.resolve().parent / f"sweep-artifacts-{spec.name}")
 
     progress = None if args.quiet else lambda line: print(line, file=sys.stderr)
-    try:
-        sweep = Sweep(spec, store=store, workers=args.workers, progress=progress)
-    except ValueError as error:
-        print(f"error: invalid sweep: {error}", file=sys.stderr)
-        return 2
-
+    sweep = Sweep(spec, store=store, workers=args.workers, progress=progress)
     try:
         outcome = sweep.run()
-    except SweepError as error:
+    except (SweepError, ValueError) as error:
         print(error, file=sys.stderr)
         return 1
 
     if args.report:
         outcome.report.save(args.report)
-    if args.stages_json:
-        path = Path(args.stages_json)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(json.dumps(outcome.stages, indent=2), encoding="utf-8")
-    if outcome.stages:
-        print(json.dumps(outcome.stages, indent=2))
+    print(json.dumps(final_metrics(outcome.results), indent=2))
     print(outcome.report.summary())
     return 0
 

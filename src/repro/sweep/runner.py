@@ -12,27 +12,27 @@
    pool (:class:`~repro.sweep.executor.SweepExecutor`); every completed
    run is stored atomically before its task returns, so a killed sweep
    resumes for free — re-invoking it executes exactly the missing runs.
-3. **Aggregate** — derived stages run in DAG dependency order on the
-   collected :class:`~repro.experiments.result.RunResult`s.
 
-The outcome carries per-run results, per-stage values and a
-:class:`~repro.sweep.report.SweepReport` (cache hits, wall times,
-speedup).  Because run results are ``==``-identical regardless of worker
-count or completion order (all randomness is keyed by the spec, never by
-execution), a parallel cached sweep is interchangeable with a serial
-uncached one.
+The outcome carries each run's :class:`~repro.experiments.result.RunResult`
+by run id and a :class:`~repro.sweep.report.SweepReport` (cache hits, wall
+times, speedup).  Combining results is plain Python over
+``outcome.results``; :func:`final_metrics` gives the per-run final ranking
+metrics the paper tables read.  Because run results are ``==``-identical
+regardless of worker count or completion order (all randomness is keyed by
+the spec, never by execution), a parallel cached sweep is interchangeable
+with a serial uncached one.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, Dict, List, Mapping, Optional, Union
 
 from repro.experiments.result import RunResult
 from repro.sweep.executor import RunTask, SweepExecutor, default_worker_count
 from repro.sweep.report import RunTelemetry, SweepReport
-from repro.sweep.spec import ALL_RUNS, StageSpec, SweepSpec
+from repro.sweep.spec import SweepSpec
 from repro.sweep.store import ArtifactStore
 
 
@@ -50,121 +50,16 @@ class SweepError(RuntimeError):
         )
 
 
-# ----------------------------------------------------------------------
-# Aggregator registry
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class StageContext:
-    """What an aggregator sees: its stage's inputs, by name."""
-
-    stage: StageSpec
-    results: Mapping[str, RunResult]   # the runs this stage needs
-    stages: Mapping[str, Any]          # outputs of needed upstream stages
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-
-Aggregator = Callable[[StageContext], Any]
-
-_AGGREGATORS: Dict[str, Aggregator] = {}
-
-
-def register_aggregator(name: str, overwrite: bool = False):
-    """Decorator registering a named aggregator for JSON-declared stages."""
-
-    def decorate(fn: Aggregator) -> Aggregator:
-        if name in _AGGREGATORS and not overwrite:
-            raise ValueError(f"aggregator {name!r} is already registered")
-        _AGGREGATORS[name] = fn
-        return fn
-
-    return decorate
-
-
-def available_aggregators() -> Tuple[str, ...]:
-    """The registered aggregator names, sorted."""
-    return tuple(sorted(_AGGREGATORS))
-
-
-def resolve_aggregator(aggregator: Union[str, Aggregator]) -> Aggregator:
-    if callable(aggregator):
-        return aggregator
-    if aggregator not in _AGGREGATORS:
-        raise ValueError(
-            f"unknown aggregator {aggregator!r}; registered: {available_aggregators()}"
-        )
-    return _AGGREGATORS[aggregator]
-
-
-@register_aggregator("final-metrics")
-def _final_metrics(ctx: StageContext) -> Dict[str, Dict[str, Any]]:
-    """Per run: the final ranking metrics (plus k and user count)."""
+def final_metrics(results: Mapping[str, RunResult]) -> Dict[str, Dict[str, Any]]:
+    """Per run: the final ranking metrics, plus ``k`` and the user count."""
     return {
         run_id: {
             **result.final.as_dict(),
             "k": result.final.k,
             "num_users_evaluated": result.final.num_users_evaluated,
         }
-        for run_id, result in ctx.results.items()
+        for run_id, result in results.items()
     }
-
-
-@register_aggregator("communication")
-def _communication(ctx: StageContext) -> Dict[str, Dict[str, Any]]:
-    """Per run: the communication-ledger totals (Table IV's raw numbers)."""
-    return {run_id: result.communication.to_dict() for run_id, result in ctx.results.items()}
-
-
-@register_aggregator("metric-series")
-def _metric_series(ctx: StageContext) -> Dict[str, List[float]]:
-    """Per run: one logged metric's per-round series (``options.metric``)."""
-    metric = ctx.options.get("metric")
-    if not metric:
-        raise ValueError('the "metric-series" aggregator needs options={"metric": ...}')
-    return {run_id: result.metric_series(metric) for run_id, result in ctx.results.items()}
-
-
-# ----------------------------------------------------------------------
-# DAG ordering
-# ----------------------------------------------------------------------
-def stage_order(spec: SweepSpec) -> List[StageSpec]:
-    """Topologically order the stages; reject unknown needs and cycles.
-
-    Runs are the DAG's sources (all available once the execution phase
-    finishes), so only stage→stage edges constrain the order.  Kahn's
-    algorithm with name-sorted tie-breaking keeps the order deterministic.
-    """
-    run_ids = {run.id for run in spec.runs}
-    stages = {stage.name: stage for stage in spec.stages}
-    pending_deps: Dict[str, set] = {}
-    for stage in spec.stages:
-        deps = set()
-        for need in stage.needs:
-            if need == ALL_RUNS or need in run_ids:
-                continue
-            if need == stage.name:
-                raise ValueError(f"stage {stage.name!r} depends on itself")
-            if need not in stages:
-                raise ValueError(
-                    f"stage {stage.name!r} needs unknown node {need!r} "
-                    f"(not a run id, stage name, or '{ALL_RUNS}')"
-                )
-            deps.add(need)
-        pending_deps[stage.name] = deps
-
-    ordered: List[StageSpec] = []
-    satisfied: set = set()
-    while pending_deps:
-        ready = sorted(
-            name for name, deps in pending_deps.items() if deps <= satisfied
-        )
-        if not ready:
-            cycle = sorted(pending_deps)
-            raise ValueError(f"stage dependency cycle among {cycle}")
-        for name in ready:
-            ordered.append(stages[name])
-            satisfied.add(name)
-            del pending_deps[name]
-    return ordered
 
 
 # ----------------------------------------------------------------------
@@ -176,14 +71,7 @@ class SweepOutcome:
 
     spec: SweepSpec
     results: Dict[str, RunResult]
-    stages: Dict[str, Any]
     report: SweepReport
-
-    def __getitem__(self, name: str) -> Any:
-        """A stage's value by name, or a run's result by id."""
-        if name in self.stages:
-            return self.stages[name]
-        return self.results[name]
 
 
 # ----------------------------------------------------------------------
@@ -209,9 +97,6 @@ class Sweep:
         self.store = store
         self.workers = default_worker_count() if workers is None else max(1, int(workers))
         self._progress = progress
-        # Validate the stage DAG up front: a cycle or a dangling need
-        # should fail before any training is spent.
-        self._stage_order = stage_order(spec)
 
     def _log(self, message: str) -> None:
         if self._progress is not None:
@@ -242,7 +127,7 @@ class Sweep:
     # Execution
     # ------------------------------------------------------------------
     def run(self) -> SweepOutcome:
-        """Execute the sweep: cache-check, fan out, aggregate, report."""
+        """Execute the sweep: cache-check, fan out, report."""
         start = time.perf_counter()
         fingerprints = self.fingerprints()
 
@@ -322,7 +207,6 @@ class Sweep:
                     backend=result.spec.backend,
                 ))
 
-        stages = self._run_stages(results)
         report = SweepReport(
             sweep=self.spec.name,
             workers=self.workers,
@@ -330,32 +214,7 @@ class Sweep:
             runs=run_records,
         )
         self._log(report.summary())
-        return SweepOutcome(spec=self.spec, results=results, stages=stages, report=report)
-
-    # ------------------------------------------------------------------
-    # Stages
-    # ------------------------------------------------------------------
-    def _run_stages(self, results: Mapping[str, RunResult]) -> Dict[str, Any]:
-        outputs: Dict[str, Any] = {}
-        for stage in self._stage_order:
-            needed_runs: Dict[str, RunResult] = {}
-            needed_stages: Dict[str, Any] = {}
-            for need in stage.needs:
-                if need == ALL_RUNS:
-                    needed_runs.update(results)
-                elif need in results:
-                    needed_runs[need] = results[need]
-                else:
-                    needed_stages[need] = outputs[need]
-            context = StageContext(
-                stage=stage,
-                results=needed_runs,
-                stages=needed_stages,
-                options=stage.options,
-            )
-            outputs[stage.name] = resolve_aggregator(stage.aggregator)(context)
-            self._log(f"stage {stage.name!r} done")
-        return outputs
+        return SweepOutcome(spec=self.spec, results=results, report=report)
 
 
 def run_sweep(

@@ -1,7 +1,7 @@
-"""Declarative sweep specifications: grids of experiments plus derived stages.
+"""Declarative sweep specifications: grids of experiments.
 
-A :class:`SweepSpec` names every run a sweep performs and how its outputs
-are combined.  Runs come from three constructions, freely mixed:
+A :class:`SweepSpec` names every run a sweep performs.  Runs come from
+three constructions, freely mixed:
 
 * an explicit list of experiments (:meth:`SweepSpec.from_dict` ``experiments``),
 * a cartesian ``grid={field: [values, ...]}`` expansion over a ``base``
@@ -17,12 +17,10 @@ referenced per run.  A dataset spec is a *recipe*, not data: workers
 rebuild it deterministically from its source registry entry, so sweep
 payloads stay small and a JSON sweep file is fully self-contained.
 
-Derived stages (:class:`StageSpec`) are aggregation nodes wired as a DAG:
-each names the runs and/or earlier stages it ``needs`` and the aggregator
-that combines them (a registered name for JSON sweeps, or any callable for
-programmatic ones).  The orchestrator (:class:`repro.sweep.Sweep`) executes
-runs first — in parallel, fingerprint-cached — then stages in dependency
-order.
+The orchestrator (:class:`repro.sweep.Sweep`) executes the runs — in
+parallel, fingerprint-cached — and returns their results by run id;
+combining them is plain Python over ``outcome.results`` (see
+:func:`repro.sweep.final_metrics`).
 
 Every spec round-trips through ``to_dict``/``from_dict`` and JSON:
 
@@ -46,9 +44,6 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.experiments.spec import ExperimentSpec
-
-#: The stage ``needs`` wildcard: "every run of the sweep".
-ALL_RUNS = "*"
 
 
 # ----------------------------------------------------------------------
@@ -165,7 +160,7 @@ class DatasetSpec:
 
 
 # ----------------------------------------------------------------------
-# Runs and stages
+# Runs
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class RunSpec:
@@ -178,8 +173,6 @@ class RunSpec:
     def __post_init__(self) -> None:
         if not self.id or not isinstance(self.id, str):
             raise ValueError(f"run id must be a non-empty string, got {self.id!r}")
-        if self.id == ALL_RUNS:
-            raise ValueError(f"run id {ALL_RUNS!r} is reserved for 'all runs'")
 
     def to_dict(self) -> Dict[str, Any]:
         return {
@@ -187,56 +180,6 @@ class RunSpec:
             "spec": self.experiment.to_dict(),
             "dataset": self.dataset.to_dict(),
         }
-
-
-@dataclass(frozen=True)
-class StageSpec:
-    """One derived node of the sweep DAG: aggregate upstream outputs.
-
-    ``aggregator`` is a name registered with
-    :func:`repro.sweep.register_aggregator` (JSON-serializable) or any
-    callable taking a :class:`~repro.sweep.runner.StageContext`
-    (programmatic sweeps only).  ``needs`` lists run ids and/or stage
-    names; the default ``("*",)`` depends on every run.  ``options`` are
-    passed to the aggregator through the context.
-    """
-
-    name: str
-    aggregator: Union[str, Callable]
-    needs: Tuple[str, ...] = (ALL_RUNS,)
-    options: Mapping[str, Any] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if not self.name or not isinstance(self.name, str):
-            raise ValueError(f"stage name must be a non-empty string, got {self.name!r}")
-        if self.name == ALL_RUNS:
-            raise ValueError(f"stage name {ALL_RUNS!r} is reserved")
-        object.__setattr__(self, "needs", tuple(str(need) for need in self.needs))
-        object.__setattr__(self, "options", dict(self.options))
-        if not (callable(self.aggregator) or isinstance(self.aggregator, str)):
-            raise ValueError("aggregator must be a registered name or a callable")
-
-    def to_dict(self) -> Dict[str, Any]:
-        if callable(self.aggregator):
-            raise ValueError(
-                f"stage {self.name!r} uses a Python callable aggregator; only "
-                "registered aggregator names serialize to JSON (see "
-                "repro.sweep.register_aggregator)"
-            )
-        return {
-            "name": self.name,
-            "aggregator": self.aggregator,
-            "needs": list(self.needs),
-            "options": dict(self.options),
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StageSpec":
-        known = {"name", "aggregator", "needs", "options"}
-        unknown = sorted(set(data) - known)
-        if unknown:
-            raise ValueError(f"unknown StageSpec fields {unknown}; known: {sorted(known)}")
-        return cls(**dict(data))
 
 
 def _format_grid_value(value: Any) -> str:
@@ -290,17 +233,15 @@ def expand_grid(
 
 @dataclass
 class SweepSpec:
-    """Everything one sweep does: named runs plus derived DAG stages."""
+    """Everything one sweep does: its named runs."""
 
     name: str
     runs: List[RunSpec] = field(default_factory=list)
-    stages: List[StageSpec] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         if not self.name or not isinstance(self.name, str):
             raise ValueError(f"sweep name must be a non-empty string, got {self.name!r}")
         self.runs = list(self.runs)
-        self.stages = list(self.stages)
         if not self.runs:
             raise ValueError("a sweep needs at least one run")
         seen: set = set()
@@ -308,12 +249,6 @@ class SweepSpec:
             if run.id in seen:
                 raise ValueError(f"duplicate run id {run.id!r}")
             seen.add(run.id)
-        for stage in self.stages:
-            if stage.name in seen:
-                raise ValueError(
-                    f"stage name {stage.name!r} collides with another run or stage"
-                )
-            seen.add(stage.name)
 
     # ------------------------------------------------------------------
     # Construction
@@ -326,7 +261,6 @@ class SweepSpec:
         grid: Mapping[str, Sequence[Any]],
         dataset: Union[DatasetSpec, Mapping, None] = None,
         datasets: Optional[Mapping[str, Union[DatasetSpec, Mapping]]] = None,
-        stages: Sequence[StageSpec] = (),
     ) -> "SweepSpec":
         """Build a sweep from a base spec and a cartesian grid (see module doc)."""
         if not isinstance(base, ExperimentSpec):
@@ -338,28 +272,26 @@ class SweepSpec:
         if dataset is not None and not isinstance(dataset, DatasetSpec):
             dataset = DatasetSpec.from_dict(dataset)
         runs = expand_grid(base, grid, datasets=named, default_dataset=dataset)
-        return cls(name=name, runs=runs, stages=list(stages))
+        return cls(name=name, runs=runs)
 
     @classmethod
     def from_experiments(
         cls,
         name: str,
         experiments: Iterable[Tuple[str, ExperimentSpec, DatasetSpec]],
-        stages: Sequence[StageSpec] = (),
     ) -> "SweepSpec":
         """Build a sweep from a generator of ``(id, experiment, dataset)``."""
         runs = [RunSpec(id=i, experiment=e, dataset=d) for i, e, d in experiments]
-        return cls(name=name, runs=runs, stages=list(stages))
+        return cls(name=name, runs=runs)
 
     # ------------------------------------------------------------------
     # Serialization
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-safe representation (stages must use registered aggregators)."""
+        """JSON-safe representation."""
         return {
             "name": self.name,
             "experiments": [run.to_dict() for run in self.runs],
-            "stages": [stage.to_dict() for stage in self.stages],
         }
 
     @classmethod
@@ -371,9 +303,21 @@ class SweepSpec:
         ``grid`` (cartesian expansion), ``experiments`` (explicit list;
         each entry carries ``spec`` — a full experiment dict — or
         ``overrides`` — flat fields applied to ``base`` — plus optional
-        ``id`` and ``dataset`` alias), and ``stages``.
+        ``id`` and ``dataset`` alias).
+
+        Sweeps no longer declare aggregation ``stages``: a document that
+        still lists any is rejected with a pointer to
+        :func:`repro.sweep.final_metrics`.  An empty ``stages`` list (which
+        older versions of :meth:`to_dict` always wrote) is accepted.
         """
         remaining = dict(data)
+        if remaining.pop("stages", None):
+            raise ValueError(
+                "sweep 'stages' (and their 'needs') were removed; every run's "
+                "result is in outcome.results, and "
+                "repro.sweep.final_metrics(outcome.results) gives what the "
+                '"final-metrics" stage did'
+            )
         name = remaining.pop("name", None)
         if not name:
             raise ValueError("sweep spec needs a 'name'")
@@ -440,14 +384,12 @@ class SweepSpec:
                 dataset=dataset,
             ))
 
-        stages = [StageSpec.from_dict(entry)
-                  for entry in remaining.pop("stages", None) or []]
         if remaining:
             raise ValueError(
                 f"unknown SweepSpec fields {sorted(remaining)}; known: "
-                "['name', 'datasets', 'dataset', 'base', 'grid', 'experiments', 'stages']"
+                "['name', 'datasets', 'dataset', 'base', 'grid', 'experiments']"
             )
-        return cls(name=str(name), runs=runs, stages=stages)
+        return cls(name=str(name), runs=runs)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         """Serialize to a JSON document (see :meth:`to_dict`)."""

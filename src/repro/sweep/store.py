@@ -65,11 +65,22 @@ class ArtifactStore:
         return self.result_path(fingerprint).exists()
 
     def load(self, fingerprint: str) -> Optional[RunResult]:
-        """The cached result, or ``None`` when the slot is empty."""
+        """The cached result, or ``None`` when the slot is empty.
+
+        A slot whose result does not parse (a torn or hand-edited file)
+        raises ``ValueError`` naming the slot, chained to the parse error.
+        """
+        path = self.result_path(fingerprint)
         try:
-            return RunResult.load(self.result_path(fingerprint))
+            return RunResult.load(path)
         except FileNotFoundError:
             return None
+        except (ValueError, KeyError, TypeError) as error:
+            raise ValueError(
+                f"sweep artifact {path} is unreadable ({type(error).__name__}: "
+                f"{error}); remove it with ArtifactStore.discard({fingerprint!r}) "
+                "and re-run the sweep to recompute it"
+            ) from error
 
     def provenance(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         """The artifact's provenance block (see :meth:`RunResult.save`).

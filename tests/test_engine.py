@@ -62,13 +62,13 @@ class TestEngineSpec:
     def test_defaults(self):
         spec = EngineSpec()
         assert spec.scheduler == "serial"
-        assert spec.max_cohort > 0
+        assert spec.shard_size == 0
 
     @pytest.mark.parametrize("bad", [
         {"scheduler": "teleport"},
         {"scheduler": "multiprocess"},
-        {"max_cohort": 0},
-        {"fallback": "panic"},
+        {"payload": "zip"},
+        {"shard_size": -1},
     ])
     def test_invalid_values_rejected(self, bad):
         with pytest.raises(ValueError):
@@ -76,12 +76,20 @@ class TestEngineSpec:
 
     def test_experiment_spec_round_trip(self):
         spec = ExperimentSpec(trainer="ptf", engine={"scheduler": "batched",
-                                                     "max_cohort": 32})
+                                                     "shard_size": 32})
         restored = ExperimentSpec.from_dict(spec.to_dict())
         assert restored.engine.scheduler == "batched"
-        assert restored.engine.max_cohort == 32
+        assert restored.engine.shard_size == 32
         assert restored == spec
         assert ExperimentSpec.from_json(spec.to_json()) == spec
+
+    @pytest.mark.parametrize("fallback", ["serial", "error"])
+    def test_stored_engine_with_removed_knobs_loads(self, fallback):
+        stored = ExperimentSpec(trainer="ptf").to_dict()
+        stored["engine"].update(max_cohort=128, fallback=fallback)
+        spec = ExperimentSpec.from_dict(stored)
+        assert spec.engine == EngineSpec()
+        assert spec == ExperimentSpec(trainer="ptf")
 
     def test_flat_field_access(self):
         spec = ExperimentSpec.from_flat(trainer="ptf", scheduler="batched",
@@ -129,7 +137,7 @@ class TestSchedulerEquivalence:
     def test_batched_matches_serial_small_cohort_chunks(self, dataset):
         serial = repro.run(tiny_spec("ptf", "serial"), dataset)
         chunked = repro.run(
-            tiny_spec("ptf", "batched").replace(max_cohort=3), dataset
+            tiny_spec("ptf", "batched").replace(shard_size=3), dataset
         )
         assert serial.final.as_dict() == chunked.final.as_dict()
         assert run_history(serial) == run_history(chunked)
@@ -216,10 +224,9 @@ class TestClientBatch:
         assert stack_models([Strange()], user_rows=[0]) is None
 
     def test_fallback_serial_for_unsupported_model(self, dataset):
-        # "mf" client models have a stacked implementation; force the
-        # fallback instead by asking for errors on a fake model.
-        scheduler = create_scheduler(EngineSpec(scheduler="batched",
-                                                fallback="error"))
+        # A client model with no stacked implementation trains on the
+        # serial path: the scheduler calls its own ``local_train``.
+        scheduler = create_scheduler(EngineSpec(scheduler="batched"))
 
         class FakeClient:
             def __init__(self):
@@ -232,15 +239,17 @@ class TestClientBatch:
                     epochs=[[(np.zeros(2, dtype=np.int64), np.zeros(2))]],
                 )
 
-        with pytest.raises(NotImplementedError):
-            scheduler.train_ptf_clients({0: FakeClient()}, [0], 0)
+            def local_train(self, round_index):
+                return 0.25 + round_index
+
+        assert scheduler.train_ptf_clients({0: FakeClient()}, [0], 3) == {0: 3.25}
 
 
 class TestGraphClientModels:
     """NGCF and LightGCN clients cannot be stacked; ``batched`` still runs them.
 
-    The default ``fallback="serial"`` trains such cohorts one client at a
-    time, so the result is the serial reference bit for bit.
+    The batched scheduler trains such cohorts one client at a time on the
+    serial path, so the result is the serial reference bit for bit.
     """
 
     @pytest.mark.parametrize("client_model", ["ngcf", "lightgcn"])
@@ -252,13 +261,6 @@ class TestGraphClientModels:
         assert serial.final.as_dict() == batched.final.as_dict()
         assert run_history(serial) == run_history(batched)
         assert serial.communication == batched.communication
-
-    @pytest.mark.parametrize("client_model,cls", [("ngcf", "NGCF"),
-                                                  ("lightgcn", "LightGCN")])
-    def test_error_fallback_names_the_model(self, client_model, cls, dataset):
-        spec = tiny_spec("ptf", "batched", client_model=client_model)
-        with pytest.raises(NotImplementedError, match=f"{cls} client models"):
-            repro.run(spec.replace(fallback="error"), dataset)
 
 
 class TestOptimizerStateTransfer:

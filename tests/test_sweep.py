@@ -8,8 +8,10 @@ The contracts under test:
 * the artifact store completes atomically and never serves a torn result,
 * the orchestrator executes each fingerprint at most once (cache hits and
   in-sweep dedup), parallel results ``==`` serial results ``==`` direct
-  ``repro.run``, stages run in DAG order, and a killed sweep resumes by
-  executing exactly the missing runs.
+  ``repro.run``, and a killed sweep resumes by executing exactly the
+  missing runs,
+* ``final_metrics`` reads back what the removed ``"final-metrics"`` stage
+  returned, and sweep files that still declare stages are rejected.
 """
 
 from __future__ import annotations
@@ -28,15 +30,12 @@ from repro.sweep import (
     ArtifactStore,
     DatasetSpec,
     RunSpec,
-    StageContext,
-    StageSpec,
-    Sweep,
     SweepError,
     SweepReport,
     SweepSpec,
     expand_grid,
+    final_metrics,
     run_sweep,
-    stage_order,
 )
 
 #: Tiny but real experiment: 2 rounds of PTF on the debug dataset.
@@ -67,11 +66,22 @@ def exploding_trainer():
         _TRAINER_REGISTRY.pop(_EXPLODING_TRAINER, None)
 
 
-def tiny_sweep(name="tiny", grid=None, stages=()):
+def tiny_sweep(name="tiny", grid=None):
     return SweepSpec.from_grid(
-        name, base=BASE, grid=grid or {"alpha": [10, 30]},
-        dataset=DATASET, stages=stages,
+        name, base=BASE, grid=grid or {"alpha": [10, 30]}, dataset=DATASET,
     )
+
+
+#: Stage declarations of the removed DAG, one per rule it used to check.
+LEGACY_STAGES = {
+    "final-metrics": [{"name": "metrics", "aggregator": "final-metrics"}],
+    "cycle": [{"name": "a", "aggregator": "final-metrics", "needs": ["b"]},
+              {"name": "b", "aggregator": "final-metrics", "needs": ["a"]}],
+    "unknown-need": [{"name": "a", "aggregator": "final-metrics", "needs": ["ghost"]}],
+    "self-dependency": [{"name": "s", "aggregator": "final-metrics", "needs": ["s"]}],
+    "unknown-aggregator": [{"name": "a", "aggregator": "no-such"}],
+    "name-collision": [{"name": "alpha=10", "aggregator": "final-metrics"}],
+}
 
 
 # ----------------------------------------------------------------------
@@ -103,12 +113,22 @@ class TestSweepSpec:
             expand_grid(repro.ExperimentSpec.from_dict(BASE), {"dataset": ["nope"]})
 
     def test_json_round_trip(self):
-        sweep = tiny_sweep(stages=[StageSpec(name="m", aggregator="final-metrics")])
+        sweep = tiny_sweep()
         restored = SweepSpec.from_json(sweep.to_json())
         assert [run.id for run in restored.runs] == [run.id for run in sweep.runs]
         assert restored.runs[0].experiment == sweep.runs[0].experiment
         assert restored.runs[0].dataset == sweep.runs[0].dataset
-        assert restored.stages == list(sweep.stages)
+
+    @pytest.mark.parametrize("stages", LEGACY_STAGES.values(), ids=LEGACY_STAGES.keys())
+    def test_json_with_stages_is_rejected(self, stages):
+        data = {**tiny_sweep().to_dict(), "stages": stages}
+        with pytest.raises(ValueError, match=r"final_metrics\(outcome\.results\)"):
+            SweepSpec.from_dict(data)
+
+    def test_empty_stages_list_still_loads(self):
+        # Earlier ``to_dict`` output always carried ``"stages": []``.
+        data = {**tiny_sweep().to_dict(), "stages": []}
+        assert SweepSpec.from_dict(data).runs == tiny_sweep().runs
 
     def test_declarative_experiments_with_overrides(self):
         sweep = SweepSpec.from_dict({
@@ -130,12 +150,6 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="duplicate run id"):
             SweepSpec(name="dup", runs=[run, run])
 
-    def test_stage_name_colliding_with_run_rejected(self):
-        run = RunSpec("x", repro.ExperimentSpec.from_dict(BASE))
-        with pytest.raises(ValueError, match="collides"):
-            SweepSpec(name="c", runs=[run],
-                      stages=[StageSpec(name="x", aggregator="final-metrics")])
-
     def test_unknown_dataset_source_rejected(self):
         with pytest.raises(ValueError, match="unknown dataset source"):
             DatasetSpec(source="no-such-source")
@@ -143,11 +157,6 @@ class TestSweepSpec:
     def test_unknown_sweep_fields_rejected(self):
         with pytest.raises(ValueError, match="unknown SweepSpec fields"):
             SweepSpec.from_dict({"name": "x", "grids": {}})
-
-    def test_callable_aggregator_does_not_serialize(self):
-        stage = StageSpec(name="s", aggregator=lambda ctx: None)
-        with pytest.raises(ValueError, match="callable"):
-            stage.to_dict()
 
     def test_mini_source_matches_benchmark_datasets(self):
         from repro.data import MINI_SPECS, generate_dataset
@@ -284,6 +293,28 @@ class TestArtifactStore:
             with pytest.raises(ValueError):
                 store.path(bad)
 
+    def test_truncated_result_names_the_slot(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("abc", self._result())
+        path = store.result_path("abc")
+        path.write_text(path.read_text()[:100])
+        with pytest.raises(ValueError, match="ArtifactStore.discard") as raised:
+            store.load("abc")
+        assert str(path) in str(raised.value)
+        assert isinstance(raised.value.__cause__, json.JSONDecodeError)
+
+    def test_result_missing_keys_names_the_slot(self, tmp_path):
+        store = ArtifactStore(tmp_path)
+        store.save("abc", self._result())
+        path = store.result_path("abc")
+        data = json.loads(path.read_text())
+        del data["final"]
+        path.write_text(json.dumps(data))
+        with pytest.raises(ValueError, match="ArtifactStore.discard") as raised:
+            store.load("abc")
+        assert str(path) in str(raised.value)
+        assert isinstance(raised.value.__cause__, KeyError)
+
 
 # ----------------------------------------------------------------------
 # Orchestrator
@@ -320,48 +351,23 @@ class TestSweepRunner:
         assert outcome.report.executed == 1 and outcome.report.cache_hits == 2
         assert outcome.results["copy-0"] == outcome.results["copy-2"]
 
-    def test_stage_dag_order_and_wiring(self, tmp_path):
-        order = []
-
-        def tracking(name):
-            def aggregate(ctx: StageContext):
-                order.append(name)
-                return {"runs": sorted(ctx.results), "stages": sorted(ctx.stages)}
-            return aggregate
-
-        sweep = tiny_sweep(stages=[
-            StageSpec(name="c", aggregator=tracking("c"), needs=("b",)),
-            StageSpec(name="b", aggregator=tracking("b"), needs=("a", "alpha=10")),
-            StageSpec(name="a", aggregator=tracking("a")),
-        ])
+    def test_final_metrics_matches_the_final_metrics_stage(self, tmp_path):
+        # Recorded from the "final-metrics" stage this function replaced, on
+        # the same two-run sweep (backend pinned so every CI leg agrees).
+        expected = {
+            "alpha=10": {"Recall@20": 0.4016666666666666, "NDCG@20": 0.2670408844077274,
+                         "Precision@20": 0.10333333333333332,
+                         "HitRate@20": 0.7333333333333333,
+                         "k": 20, "num_users_evaluated": 30},
+            "alpha=30": {"Recall@20": 0.4016666666666666, "NDCG@20": 0.2518373294896279,
+                         "Precision@20": 0.10333333333333332,
+                         "HitRate@20": 0.7333333333333333,
+                         "k": 20, "num_users_evaluated": 30},
+        }
+        sweep = SweepSpec.from_grid("tiny", base={**BASE, "backend": "numpy"},
+                                    grid={"alpha": [10, 30]}, dataset=DATASET)
         outcome = run_sweep(sweep, store=tmp_path, workers=1)
-        assert order == ["a", "b", "c"]
-        assert outcome.stages["a"]["runs"] == ["alpha=10", "alpha=30"]  # ALL_RUNS
-        assert outcome.stages["b"] == {"runs": ["alpha=10"], "stages": ["a"]}
-        assert outcome.stages["c"] == {"runs": [], "stages": ["b"]}
-        assert outcome["a"] == outcome.stages["a"]
-        assert outcome["alpha=10"] == outcome.results["alpha=10"]
-
-    def test_stage_cycle_rejected_before_any_training(self, tmp_path):
-        sweep = tiny_sweep(stages=[
-            StageSpec(name="a", aggregator="final-metrics", needs=("b",)),
-            StageSpec(name="b", aggregator="final-metrics", needs=("a",)),
-        ])
-        with pytest.raises(ValueError, match="cycle"):
-            Sweep(sweep, store=tmp_path)
-        assert list((tmp_path).iterdir()) == []   # nothing executed
-
-    def test_stage_unknown_need_rejected(self, tmp_path):
-        sweep = tiny_sweep(stages=[
-            StageSpec(name="a", aggregator="final-metrics", needs=("ghost",)),
-        ])
-        with pytest.raises(ValueError, match="unknown node"):
-            Sweep(sweep, store=tmp_path)
-
-    def test_unknown_aggregator_name_rejected(self, tmp_path):
-        sweep = tiny_sweep(stages=[StageSpec(name="a", aggregator="no-such")])
-        with pytest.raises(ValueError, match="unknown aggregator"):
-            run_sweep(sweep, store=tmp_path, workers=1)
+        assert final_metrics(outcome.results) == expected
 
     def test_failed_run_raises_sweep_error_and_keeps_completed(
         self, tmp_path, exploding_trainer
@@ -483,7 +489,7 @@ class TestCli:
         return main(list(argv))
 
     def test_end_to_end(self, tmp_path, capsys):
-        sweep = tiny_sweep(stages=[StageSpec(name="m", aggregator="final-metrics")])
+        sweep = tiny_sweep()
         sweep_path = tmp_path / "sweep.json"
         sweep_path.write_text(sweep.to_json())
         report_path = tmp_path / "report.json"
@@ -494,8 +500,11 @@ class TestCli:
         assert code == 0
         report = SweepReport.load(report_path)
         assert report.executed == 2
-        stages = json.loads(captured.out.rsplit("\n", 2)[0])  # summary is last line
-        assert set(stages["m"]) == {"alpha=10", "alpha=30"}
+        metrics = json.loads(captured.out.rsplit("\n", 2)[0])  # summary is last line
+        store = ArtifactStore(tmp_path / "store")
+        results = {run.run_id: store.load(run.fingerprint) for run in report.runs}
+        assert metrics == final_metrics(results)
+        assert set(metrics) == {"alpha=10", "alpha=30"}
 
         # Second invocation: all cache hits, zero training.
         code = self._invoke(str(sweep_path), "--store", str(tmp_path / "store"),
@@ -512,29 +521,23 @@ class TestCli:
         bad.write_text(json.dumps({"name": "x"}))   # no runs
         assert self._invoke(str(bad)) == 2
 
+    def test_stages_are_a_usage_error_naming_final_metrics(self, tmp_path, capsys):
+        legacy = tmp_path / "legacy.json"
+        legacy.write_text(json.dumps({**tiny_sweep().to_dict(),
+                                      "stages": LEGACY_STAGES["cycle"]}))
+        assert self._invoke(str(legacy), "--store", str(tmp_path / "store")) == 2
+        assert "final_metrics" in capsys.readouterr().err
+        assert not (tmp_path / "store").exists()     # nothing executed
 
-# ----------------------------------------------------------------------
-# stage_order unit coverage (no training involved)
-# ----------------------------------------------------------------------
-def test_stage_order_is_deterministic():
-    base = repro.ExperimentSpec.from_dict(BASE)
-    sweep = SweepSpec(
-        name="order",
-        runs=[RunSpec("r", base)],
-        stages=[
-            StageSpec(name="z", aggregator="final-metrics"),
-            StageSpec(name="a", aggregator="final-metrics"),
-            StageSpec(name="m", aggregator="final-metrics", needs=("z", "a")),
-        ],
-    )
-    assert [stage.name for stage in stage_order(sweep)] == ["a", "z", "m"]
-
-
-def test_stage_self_dependency_rejected():
-    base = repro.ExperimentSpec.from_dict(BASE)
-    sweep = SweepSpec(
-        name="selfdep", runs=[RunSpec("r", base)],
-        stages=[StageSpec(name="s", aggregator="final-metrics", needs=("s",))],
-    )
-    with pytest.raises(ValueError, match="depends on itself"):
-        stage_order(sweep)
+    def test_torn_artifact_exits_1_naming_the_slot(self, tmp_path, capsys):
+        sweep_path = tmp_path / "sweep.json"
+        sweep_path.write_text(tiny_sweep().to_json())
+        argv = (str(sweep_path), "--store", str(tmp_path / "store"),
+                "--workers", "1", "--quiet")
+        assert self._invoke(*argv) == 0
+        store = ArtifactStore(tmp_path / "store")
+        torn = store.result_path(store.fingerprints()[0])
+        torn.write_text(torn.read_text()[:50])
+        capsys.readouterr()
+        assert self._invoke(*argv) == 1
+        assert str(torn) in capsys.readouterr().err
