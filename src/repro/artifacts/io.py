@@ -91,6 +91,10 @@ def flatten_state(tree: Any) -> Tuple[Any, Payload]:
         )
 
     twin = walk(tree, "")
+    # ``walk`` refers to itself through its closure cell; unbinding it
+    # breaks that cycle, so ``leaves`` (every array of the state) is freed
+    # on return rather than whenever the cyclic collector next runs.
+    del walk
     arrays: Payload = {}
     # Outermost mappings first: the per-client level claims a leaf before
     # a mapping-of-mappings inside one client (Adam's moment dicts) can.
@@ -164,4 +168,6 @@ def unflatten_state(tree: Any, arrays: Mapping[str, Any]) -> Any:
             return [walk(value) for value in node]
         return node
 
-    return walk(tree)
+    restored = walk(tree)
+    del walk  # break walk's self-reference: ``arrays`` is freed on return
+    return restored

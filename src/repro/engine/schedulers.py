@@ -245,12 +245,17 @@ class Scheduler:
             return self._train_fedavg_sparse(
                 driver, selected, round_index, global_state
             )
+        from repro.federated.base import run_local_plan
+
         delta_sum = {name: np.zeros_like(value) for name, value in global_state.items()}
         update_count = {name: np.zeros_like(value) for name, value in global_state.items()}
         losses: Dict[int, float] = {}
-        for user in selected:
+        plans = driver.local_training_plans(selected, round_index)
+        for user, plan in zip(selected, plans):
             driver._load_public_state(global_state)
-            losses[user] = driver._local_training(user, round_index)
+            losses[user] = 0.0 if plan is None else run_local_plan(
+                driver.model, driver.spec.protocol, user, plan
+            )
             updated = driver._public_state()
             for name in delta_sum:
                 delta = updated[name] - global_state[name]
@@ -267,9 +272,9 @@ class Scheduler:
         delta_sum = {name: np.zeros_like(value) for name, value in global_state.items()}
         update_count = {name: np.zeros_like(value) for name, value in global_state.items()}
         losses: Dict[int, float] = {}
-        for user in selected:
+        plans = driver.local_training_plans(selected, round_index)
+        for user, plan in zip(selected, plans):
             driver._load_public_state(global_state)
-            plan = driver.local_training_plan(user, round_index)
             if plan is None:
                 losses[user] = 0.0
                 self._touched[user] = _zero_touched(global_state)
@@ -336,10 +341,12 @@ class BatchedScheduler(Scheduler):
         delta_sum = {name: np.zeros_like(value) for name, value in global_state.items()}
         update_count = {name: np.zeros_like(value) for name, value in global_state.items()}
 
+        # One lazy plan stream for the cohort; zip stops on the shard first,
+        # so each shard takes exactly its own plans, built shard by shard.
+        plans = driver.local_training_plans(selected, round_index)
         for shard in self.iter_shards(selected):
             pending: List[Tuple[int, ClientTrainingPlan]] = []
-            for user in shard:
-                plan = driver.local_training_plan(user, round_index)
+            for user, plan in zip(shard, plans):
                 if plan is None:
                     losses[user] = 0.0
                     if sparse:

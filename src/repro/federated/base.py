@@ -18,7 +18,7 @@ legs for the communication ledger.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Mapping, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, Mapping, Optional, Sequence
 
 # repro: disable=backend-purity -- FedAvg aggregates state_dict ndarrays in parameter-registration order
 import numpy as np
@@ -34,7 +34,6 @@ from repro.models.base import Recommender
 from repro.nn.losses import PointwiseBCELoss
 from repro.optim import SGD
 from repro.tensor.sparse import SparseDelta
-from repro.utils.rng import RngFactory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.experiments.spec import ExperimentSpec, ProtocolSpec
@@ -43,18 +42,18 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 # ----------------------------------------------------------------------
 # The per-client local update, shared by every execution scheduler
 # ----------------------------------------------------------------------
+#: Stride mixing the client id into ``"local-sampling"`` stream keys.
+LOCAL_SAMPLING_STRIDE = 100_003
+
+
 def build_local_plan(
     protocol: "ProtocolSpec",
-    rngs: RngFactory,
+    rng: np.random.Generator,
     user: int,
     positives: np.ndarray,
     num_items: int,
-    round_index: int,
-) -> Optional[ClientTrainingPlan]:
-    """Materialize one client's local-epoch batches (RNG-faithful)."""
-    if positives.size == 0:
-        return None
-    rng = rngs.spawn_indexed("local-sampling", user * 100_003 + round_index)
+) -> ClientTrainingPlan:
+    """Materialize one client's local-epoch batches from its ``rng``."""
     sampler = UserBatchSampler(
         num_items=num_items,
         positive_items=positives,
@@ -187,25 +186,29 @@ class ParameterTransmissionFedRec(RoundDriver):
     def _load_public_state(self, state: Dict[str, np.ndarray]) -> None:
         load_public_state(self.model, self._public_names, state)
 
-    def local_training_plan(
-        self, user: int, round_index: int
-    ) -> Optional[ClientTrainingPlan]:
-        """Materialize one client's local-training batches for the engine."""
-        return build_local_plan(
-            self.spec.protocol,
-            self._rngs,
-            user,
-            self.dataset.train_items(user),
-            self.dataset.num_items,
-            round_index,
-        )
+    def local_training_plans(
+        self, users: Sequence[int], round_index: int
+    ) -> Iterator[Optional[ClientTrainingPlan]]:
+        """Yield each user's local-training plan in order (``None`` without positives).
 
-    def _local_training(self, user: int, round_index: int) -> float:
-        """Run the client's local epochs; returns the mean batch loss."""
-        plan = self.local_training_plan(user, round_index)
-        if plan is None:
-            return 0.0
-        return run_local_plan(self.model, self.spec.protocol, user, plan)
+        Client ``u`` samples from its ``spawn_indexed("local-sampling",
+        u * LOCAL_SAMPLING_STRIDE + round_index)`` stream.  The cohort's
+        streams are seeded in one ``RngFactory.iter_indexed`` pass; a user
+        without positives leaves every other stream untouched (they are
+        keyed).  Plans are built lazily, so a streaming caller holds one at
+        a time.
+        """
+        users = [int(user) for user in users]
+        positives = [self.dataset.train_items(user) for user in users]
+        keys = [user * LOCAL_SAMPLING_STRIDE + round_index
+                for user, items in zip(users, positives) if items.size]
+        generators = self._rngs.iter_indexed("local-sampling", keys)
+        for user, items in zip(users, positives):
+            if items.size == 0:
+                yield None
+            else:
+                yield build_local_plan(self.spec.protocol, next(generators), user,
+                                       items, self.dataset.num_items)
 
     def _encode_buffered(self, arrays: Dict[str, np.ndarray]) -> Dict[str, object]:
         """Encode a stale cohort's summed payload for buffering.
@@ -301,21 +304,26 @@ class ParameterTransmissionFedRec(RoundDriver):
                     weighted_count[name] += weight * dcount_value
             applied += len(entry["users"])
 
+        dropped = set(plan.dropped)
         uploaded = set(plan.on_time) | set(plan.stale)
+        # One description string per leg, shared by every record.
+        download_text = f"{self.name} public parameters"
+        sparse_text = f"{self.name} sparse parameter update"
+        dense_text = f"{self.name} public parameter update"
         for user in plan.selected:
-            if user in plan.dropped:
+            if user in dropped:
                 continue
             self.ledger.record(round_index, user, "download", download_bytes,
-                               description=f"{self.name} public parameters")
+                               description=download_text)
             if user not in uploaded:
                 continue
             if user in touched:
                 self.ledger.record(round_index, user, "upload",
                                    self._upload_bytes_sparse(touched[user]),
-                                   description=f"{self.name} sparse parameter update")
+                                   description=sparse_text)
             else:
                 self.ledger.record(round_index, user, "upload", upload_bytes,
-                                   description=f"{self.name} public parameter update")
+                                   description=dense_text)
 
         new_state = {}
         for name, base in global_state.items():

@@ -77,9 +77,13 @@ def prediction_triple_bytes(num_triples: int) -> int:
     return num_triples * (2 * INT_BYTES + FLOAT_BYTES)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TransferRecord:
-    """One logical transfer between the server and a client."""
+    """One logical transfer between the server and a client.
+
+    Slotted: a large federation's ledger holds one per client per leg per
+    round, and a ``__dict__`` per record would more than double its size.
+    """
 
     round_index: int
     client_id: int

@@ -13,6 +13,9 @@ Determinism contract
 * Every event is drawn from a dedicated :class:`~repro.utils.rng.RngFactory`
   stream — ``"scenario-dropout"``, ``"scenario-latency"``,
   ``"scenario-arrivals"`` — keyed by ``(seed, stream, client, round)``.
+  A round's per-client draws come from one
+  :meth:`~repro.utils.rng.RngFactory.random_indexed` call per stream,
+  ``==`` to drawing each client's ``spawn_indexed`` stream in turn.
   Client selection, batch sampling, upload privacy and model
   initialization keep their existing streams untouched, so enabling a
   fault never perturbs any other randomness.
@@ -27,7 +30,6 @@ Determinism contract
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -201,44 +203,45 @@ class ScenarioEngine:
         clients the selection RNG picks.
         """
         spec = self.spec
-        arrived: List[int] = []
-        pending: List[int] = []
-        for user in selected:
-            (arrived if self.user_arrival_round(user) <= round_index else pending).append(
-                int(user)
+        cohort = np.fromiter((int(user) for user in selected), dtype=np.int64)
+        if self._user_arrivals:
+            arrival = np.fromiter(
+                (self._user_arrivals.get(user, 0) for user in cohort.tolist()),
+                dtype=np.int64, count=cohort.size,
             )
+            arrived = cohort[arrival <= round_index]
+            pending = cohort[arrival > round_index]
+        else:
+            arrived, pending = cohort, cohort[:0]
 
-        on_time: List[int] = []
-        dropped: List[int] = []
-        lost: List[int] = []
-        stale: Dict[int, int] = {}
-        for user in arrived:
-            key = user * _KEY_STRIDE + round_index
-            if spec.dropout > 0.0:
-                draw = self._rngs.spawn_indexed("scenario-dropout", key).random()
-                if draw < spec.dropout:
-                    dropped.append(user)
-                    continue
-            staleness = 0
-            if spec.deadline > 0.0:
-                latency = self._rngs.spawn_indexed("scenario-latency", key).uniform(
-                    *spec.latency_range
-                )
-                if latency > spec.deadline:
-                    staleness = int(math.ceil(latency / spec.deadline)) - 1
-            if staleness == 0:
-                on_time.append(user)
-            elif spec.asynchronous and staleness <= spec.max_staleness:
-                stale[user] = staleness
-            else:
-                lost.append(user)
+        # One keyed draw per (stream, client, round), for the whole arrived
+        # cohort at once; only dropout survivors draw a latency.
+        keys = arrived * _KEY_STRIDE + round_index
+        dropped = np.zeros(arrived.size, dtype=bool)
+        if spec.dropout > 0.0:
+            dropped = self._rngs.random_indexed("scenario-dropout", keys) < spec.dropout
+        staleness = np.zeros(arrived.size, dtype=np.int64)
+        if spec.deadline > 0.0:
+            low, high = spec.latency_range
+            survivors = np.flatnonzero(~dropped)
+            latency = low + (high - low) * self._rngs.random_indexed(
+                "scenario-latency", keys[survivors]
+            )
+            late = latency > spec.deadline
+            staleness[survivors[late]] = (
+                np.ceil(latency[late] / spec.deadline).astype(np.int64) - 1
+            )
+        # Dropped clients keep staleness 0, so only stragglers are stale.
+        on_time = ~dropped & (staleness == 0)
+        stale = spec.asynchronous & (staleness > 0) & (staleness <= spec.max_staleness)
+        lost = ~(dropped | on_time | stale)
 
         return RoundPlan(
             round_index=int(round_index),
-            selected=tuple(arrived),
-            pending=tuple(pending),
-            on_time=tuple(on_time),
-            dropped=tuple(dropped),
-            lost=tuple(lost),
-            stale=stale,
+            selected=tuple(arrived.tolist()),
+            pending=tuple(pending.tolist()),
+            on_time=tuple(arrived[on_time].tolist()),
+            dropped=tuple(arrived[dropped].tolist()),
+            lost=tuple(arrived[lost].tolist()),
+            stale=dict(zip(arrived[stale].tolist(), staleness[stale].tolist())),
         )

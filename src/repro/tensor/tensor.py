@@ -273,6 +273,10 @@ class Tensor:
             order.append(node)
 
         visit(self)
+        # ``visit`` refers to itself through its closure cell; unbinding it
+        # breaks that cycle, so the graph it reaches is freed on return
+        # rather than whenever the cyclic collector next runs.
+        del visit
 
         grads = {id(self): grad}
         for node in reversed(order):

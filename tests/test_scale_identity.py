@@ -217,12 +217,18 @@ def _driver_config(trainer="fcf", payload="dense", scheduler="batched"):
 
 
 def _expected_touched_rows(driver, user, round_index):
-    """Re-derive a client's touched item rows from scratch (fresh RNGs)."""
-    plan = build_local_plan(
-        driver.spec.protocol, RngFactory(driver.spec.seed), user,
-        driver.dataset.train_items(user), driver.dataset.num_items, round_index,
+    """Re-derive a client's touched item rows from scratch (a fresh, live
+    ``spawn_indexed`` stream, not the cohort seeding kernel)."""
+    positives = driver.dataset.train_items(user)
+    if positives.size == 0:
+        return 0
+    rng = RngFactory(driver.spec.seed).spawn_indexed(
+        "local-sampling", user * 100_003 + round_index
     )
-    return 0 if plan is None else int(plan.touched_items().size)
+    plan = build_local_plan(
+        driver.spec.protocol, rng, user, positives, driver.dataset.num_items,
+    )
+    return int(plan.touched_items().size)
 
 
 class TestSparseMeteringRegression:

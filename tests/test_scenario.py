@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from repro.scenario import (
     PARTICIPATION_KEYS,
     ParticipationSummary,
     RoundParticipation,
+    RoundPlan,
     ScenarioEngine,
     ScenarioSpec,
 )
@@ -173,6 +176,73 @@ class TestScenarioEngine:
 
     def test_item_mask_none_when_disabled(self):
         assert self._engine(CHURN).arrived_item_mask(0) is None
+
+
+def _per_client_plan(engine, rngs, selected, round_index):
+    """Oracle: the per-client ``spawn_indexed`` loop ``plan_round`` replaced."""
+    spec = engine.spec
+    arrived = [int(u) for u in selected if engine.user_arrival_round(u) <= round_index]
+    pending = [int(u) for u in selected if engine.user_arrival_round(u) > round_index]
+    on_time, dropped, lost, stale = [], [], [], {}
+    for user in arrived:
+        key = user * 1_000_003 + round_index
+        if spec.dropout > 0.0:
+            if rngs.spawn_indexed("scenario-dropout", key).random() < spec.dropout:
+                dropped.append(user)
+                continue
+        staleness = 0
+        if spec.deadline > 0.0:
+            latency = rngs.spawn_indexed("scenario-latency", key).uniform(*spec.latency_range)
+            if latency > spec.deadline:
+                staleness = int(math.ceil(latency / spec.deadline)) - 1
+        if staleness == 0:
+            on_time.append(user)
+        elif spec.asynchronous and staleness <= spec.max_staleness:
+            stale[user] = staleness
+        else:
+            lost.append(user)
+    return RoundPlan(
+        round_index=round_index, selected=tuple(arrived), pending=tuple(pending),
+        on_time=tuple(on_time), dropped=tuple(dropped), lost=tuple(lost), stale=stale,
+    )
+
+
+class TestVectorisedPlanning:
+    """``plan_round`` draws a cohort in one vectorised pass per stream; it
+    must equal the per-client stream loop event for event, including for
+    user ids from 4295 on, whose keys ``user * 1_000_003 + round`` are
+    wider than 32 bits."""
+
+    USERS = list(range(4200, 4400)) + [70_000, 2_000_000]
+
+    @pytest.mark.parametrize("seed", [0, 2024])
+    @pytest.mark.parametrize("fault", sorted(FAULT_SPECS))
+    def test_plan_round_equals_per_client_oracle(self, fault, seed):
+        rngs = RngFactory(seed)
+        engine = ScenarioEngine(
+            ScenarioSpec(**FAULT_SPECS[fault]), rngs, users=self.USERS, num_items=60
+        )
+        cohort = self.USERS[::-1][:150] + self.USERS[:50]
+        for round_index in range(4):
+            plan = engine.plan_round(cohort, round_index)
+            assert plan == _per_client_plan(engine, rngs, cohort, round_index)
+            assert list(plan.stale) == [u for u in plan.selected if u in plan.stale]
+
+    def test_empty_cohort(self):
+        engine = ScenarioEngine(ScenarioSpec(**EVERYTHING), RngFactory(0),
+                                users=range(10), num_items=5)
+        plan = engine.plan_round([], 1)
+        assert plan == RoundPlan(1, (), (), (), (), (), {})
+
+    def test_disabled_spec_makes_no_draw(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a disabled scenario drew from a stream")
+
+        monkeypatch.setattr(RngFactory, "random_indexed", forbidden)
+        monkeypatch.setattr(RngFactory, "spawn_indexed", forbidden)
+        engine = ScenarioEngine(None, RngFactory(0), users=range(20), num_items=5)
+        plan = engine.plan_round(range(20), 3)
+        assert plan.on_time == plan.selected == tuple(range(20))
 
 
 # ----------------------------------------------------------------------
