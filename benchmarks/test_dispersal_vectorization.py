@@ -8,9 +8,11 @@ client per round, the dominant cost of the dispersal step on realistic
 catalogues.  The current implementation scatters the uploaded ids into a
 boolean mask and calls ``np.flatnonzero``.
 
-This bench times both constructions on paper-scale catalogues, prints the
-speedup table, and asserts (a) the two produce identical candidate sets
-and (b) the vectorized path is decisively faster at scale.
+This bench times both constructions on paper-scale catalogues in
+interleaved pairs (``conftest.paired_speedup``), prints the speedup
+table, and asserts (a) the two produce identical candidate sets in every
+pair and (b) the vectorized path is decisively faster at scale, by the
+median per-pair ratio.
 """
 
 from __future__ import annotations
@@ -19,13 +21,14 @@ import time
 
 import numpy as np
 
-from conftest import print_table
+from conftest import paired_speedup, print_table
 
 from repro.utils import seeded_rng
 
 CATALOGUE_SIZES = (1_000, 10_000, 100_000)
 UPLOADED_PER_CLIENT = 120  # ~ beta * profile * (1 + gamma) at paper scale
-REPEATS = 20
+#: Interleaved legacy/vectorized timing pairs per catalogue size.
+PAIRS = 20
 
 
 def _legacy_candidates(num_items: int, uploaded: np.ndarray) -> np.ndarray:
@@ -43,13 +46,13 @@ def _vectorized_candidates(num_items: int, uploaded: np.ndarray) -> np.ndarray:
     return np.flatnonzero(available).astype(np.int64)
 
 
-def _median_seconds(fn, *args) -> float:
-    samples = []
-    for _ in range(REPEATS):
+def _timed(fn, *args):
+    """One paired_speedup side: a call's seconds and its candidate ids."""
+    def run():
         start = time.perf_counter()
-        fn(*args)
-        samples.append(time.perf_counter() - start)
-    return float(np.median(samples))
+        candidates = fn(*args)
+        return time.perf_counter() - start, candidates.tolist()
+    return run
 
 
 def test_dispersal_candidate_vectorization(benchmark):
@@ -64,9 +67,11 @@ def test_dispersal_candidate_vectorization(benchmark):
             _vectorized_candidates(num_items, uploaded),
         )
 
-        legacy = _median_seconds(_legacy_candidates, num_items, uploaded)
-        vectorized = _median_seconds(_vectorized_candidates, num_items, uploaded)
-        speedups[num_items] = legacy / vectorized
+        legacy, vectorized, speedups[num_items] = paired_speedup(
+            _timed(_legacy_candidates, num_items, uploaded),
+            _timed(_vectorized_candidates, num_items, uploaded),
+            pairs=PAIRS,
+        )
         rows.append([
             f"{num_items:,}",
             f"{legacy * 1e3:.3f} ms",
@@ -83,7 +88,8 @@ def test_dispersal_candidate_vectorization(benchmark):
     )
 
     print_table(
-        "Dispersal candidate construction (per client, per round)",
+        "Dispersal candidate construction (per client, per round; "
+        f"median of {PAIRS} interleaved pairs)",
         ["#items", "list comprehension", "boolean mask", "speedup"],
         rows,
     )

@@ -40,6 +40,20 @@ path (see :class:`repro.engine.spec.EngineSpec`); :func:`stack_models`
 currently covers NeuMF, matrix factorization and MetaMF — every client
 model the paper's protocols train.
 
+Row-compact item tables
+-----------------------
+A FedAvg client reads and writes only the item rows its plan names, yet
+the global item table has a row per catalogue item.  Given ``item_rows``
+(each client's :meth:`ClientTrainingPlan.touched_items`),
+:func:`stack_models` stacks those rows alone, zero-padded to
+``(C, max touched rows, dim)``, and :meth:`ClientTrainingPlan.localized`
+renumbers the plan's items into them.  Still bit-identical: padding rows
+are never gathered, reductions run over batch axes (never over table
+rows), and plain SGD leaves a zero-gradient row unchanged
+(``x - lr * 0.0 == x``), so every touched row sees the serial arithmetic.
+Adam moves zero-gradient rows through its moments, so PTF clients keep
+whole tables.
+
 Plans stack only when their batch shapes line up, which
 :attr:`ClientTrainingPlan.signature` fingerprints:
 
@@ -50,6 +64,12 @@ Plans stack only when their batch shapes line up, which
 ((3, 3),)
 >>> plan.num_batches
 2
+
+A row-compact stack renumbers the plan's items into its touched rows:
+
+>>> touched, local = plan.localized()
+>>> touched.tolist(), local.epochs[0][0][0].tolist()
+([1, 3, 4], [1, 0, 2])
 """
 
 from __future__ import annotations
@@ -105,6 +125,17 @@ class ClientTrainingPlan:
             return np.empty(0, dtype=np.int64)
         return np.unique(np.concatenate(arrays)).astype(np.int64, copy=False)
 
+    def localized(self) -> Tuple[np.ndarray, "ClientTrainingPlan"]:
+        """The touched item ids, and this plan with items renumbered into them.
+
+        Item ``touched[k]`` becomes local index ``k``, the row it occupies
+        in a row-compact stacked table (see :func:`stack_models`).
+        """
+        touched = self.touched_items()
+        epochs = [[(np.searchsorted(touched, items), labels) for items, labels in epoch]
+                  for epoch in self.epochs]
+        return touched, ClientTrainingPlan(self.user_id, epochs)
+
 
 # ----------------------------------------------------------------------
 # Stacked building blocks
@@ -112,14 +143,19 @@ class ClientTrainingPlan:
 class StackedEmbedding:
     """``C`` independent embedding tables as one ``(C, rows, dim)`` parameter.
 
+    ``kind`` is the stacking kind of the weight (see
+    :class:`_StackedModelBase`): its rows are each client's user row, its
+    touched item rows, or the whole table.
+
     Tracks per-slice update-count *increments* (not absolute counts) so the
     caller can either write them back per client (PTF clients own their
-    models) or sum them into a shared model (the FedAvg baselines train one
-    global model).
+    models) or scatter them into a shared model (the FedAvg baselines train
+    one global model).
     """
 
-    def __init__(self, weight: Parameter):
+    def __init__(self, weight: Parameter, kind: str):
         self.weight = weight
+        self.kind = kind
         self.count_increments = np.zeros(weight.shape[:2], dtype=np.int64)
 
     def gather(self, indices: np.ndarray, cohort_index: np.ndarray,
@@ -281,7 +317,7 @@ class StackedSGD:
 # Stacked model architectures
 # ----------------------------------------------------------------------
 class _StackedModelBase:
-    """Shared stacking machinery: parameter registry and write-back slicing.
+    """Shared stacking machinery: parameter registry and stacking kinds.
 
     ``entries`` lists ``(qualified_name, stacked_parameter, kind)`` in the
     *same order* as ``model.named_parameters()``, which is also the slot
@@ -293,30 +329,47 @@ class _StackedModelBase:
         a user-indexed table sliced to each client's own row, stacked as
         ``(C, 1, dim)`` (or ``(C, 1)`` for bias vectors) — clients only ever
         touch their own user row, so slicing is exact;
+    ``"items"``
+        an item-indexed table cut to each client's ``item_rows[c]``,
+        zero-padded to ``(C, max rows, dim)`` (or ``(C, max rows)``);
+        row ``k`` of client ``c`` is global row ``item_rows[c][k]``;
     ``"bias"``
         a ``(dim,)`` vector stored as ``(C, 1, dim)`` for broadcasting.
     """
 
-    def __init__(self, models: Sequence, user_rows: Sequence[int]):
+    def __init__(self, models: Sequence, user_rows: Sequence[int],
+                 item_rows: Optional[Sequence[np.ndarray]] = None):
         self.cohort = len(models)
         self.user_rows = list(user_rows)
+        self.item_rows = None if item_rows is None else list(item_rows)
         self.entries: List[Tuple[str, Parameter, str]] = []
         self.embeddings: Dict[str, StackedEmbedding] = {}
 
     # -- construction helpers -------------------------------------------
-    def _add_embedding(self, attr: str, models: Sequence,
-                       user_rows: Optional[Sequence[int]]) -> StackedEmbedding:
-        tables = [getattr(model, attr) for model in models]
-        if user_rows is None:
-            data = np.stack([table.weight.data for table in tables])
-            kind = "full"
-        else:
-            data = np.stack([
-                table.weight.data[[row]] for table, row in zip(tables, user_rows)
+    def _stack_table(self, arrays: Sequence[np.ndarray],
+                     indexed_by: str) -> Tuple[np.ndarray, str]:
+        """Stack one per-client table indexed by ``"user"`` or ``"item"``."""
+        if indexed_by == "user":
+            return np.stack([
+                array[[row]] for array, row in zip(arrays, self.user_rows)
+            ]), "rows"
+        if indexed_by == "item" and self.item_rows is not None:
+            counts = np.array([rows.size for rows in self.item_rows])
+            data = np.zeros((self.cohort, int(counts.max())) + arrays[0].shape[1:],
+                            dtype=arrays[0].dtype)
+            data[np.arange(data.shape[1]) < counts[:, None]] = np.concatenate([
+                array[rows] for array, rows in zip(arrays, self.item_rows)
             ])
-            kind = "rows"
+            return data, "items"
+        return np.stack(arrays), "full"
+
+    def _add_embedding(self, attr: str, models: Sequence,
+                       indexed_by: str) -> StackedEmbedding:
+        data, kind = self._stack_table(
+            [getattr(model, attr).weight.data for model in models], indexed_by
+        )
         parameter = Parameter(data, name=f"{attr}.weight")
-        embedding = StackedEmbedding(parameter)
+        embedding = StackedEmbedding(parameter, kind)
         self.entries.append((f"{attr}.weight", parameter, kind))
         self.embeddings[attr] = embedding
         return embedding
@@ -336,16 +389,10 @@ class _StackedModelBase:
         return StackedLinear(weight, bias)
 
     def _add_vector(self, attr: str, models: Sequence,
-                    user_rows: Optional[Sequence[int]]) -> Parameter:
-        vectors = [getattr(model, attr) for model in models]
-        if user_rows is None:
-            data = np.stack([vector.data for vector in vectors])
-            kind = "full"
-        else:
-            data = np.stack([
-                vector.data[[row]] for vector, row in zip(vectors, user_rows)
-            ])
-            kind = "rows"
+                    indexed_by: str) -> Parameter:
+        data, kind = self._stack_table(
+            [getattr(model, attr).data for model in models], indexed_by
+        )
         parameter = Parameter(data, name=attr)
         self.entries.append((attr, parameter, kind))
         return parameter
@@ -356,16 +403,6 @@ class _StackedModelBase:
 
     def parameters(self) -> List[Parameter]:
         return [parameter for _, parameter, _ in self.entries]
-
-    def export_slice(self, c: int) -> Dict[str, np.ndarray]:
-        """Client ``c``'s parameter values, shaped like a single-user model."""
-        values: Dict[str, np.ndarray] = {}
-        for name, parameter, kind in self.entries:
-            if kind == "bias":
-                values[name] = parameter.data[c, 0].copy()
-            else:
-                values[name] = parameter.data[c].copy()
-        return values
 
     def forward(self, items: np.ndarray, training: bool = True) -> Tensor:
         raise NotImplementedError
@@ -378,13 +415,14 @@ class StackedNeuMF(_StackedModelBase):
     def supports(model) -> bool:
         return hasattr(model, "user_embedding_gmf") and hasattr(model, "prediction")
 
-    def __init__(self, models: Sequence, user_rows: Sequence[int]):
-        super().__init__(models, user_rows)
+    def __init__(self, models: Sequence, user_rows: Sequence[int],
+                 item_rows: Optional[Sequence[np.ndarray]] = None):
+        super().__init__(models, user_rows, item_rows)
         first = models[0]
-        self.user_gmf = self._add_embedding("user_embedding_gmf", models, user_rows)
-        self.item_gmf = self._add_embedding("item_embedding_gmf", models, None)
-        self.user_mlp = self._add_embedding("user_embedding_mlp", models, user_rows)
-        self.item_mlp = self._add_embedding("item_embedding_mlp", models, None)
+        self.user_gmf = self._add_embedding("user_embedding_gmf", models, "user")
+        self.item_gmf = self._add_embedding("item_embedding_gmf", models, "item")
+        self.user_mlp = self._add_embedding("user_embedding_mlp", models, "user")
+        self.item_mlp = self._add_embedding("item_embedding_mlp", models, "item")
         self.mlp_layers = [
             self._add_linear(f"mlp_{index}", models)
             for index in range(len(first._mlp_layers))
@@ -421,14 +459,15 @@ class StackedMF(_StackedModelBase):
             and hasattr(model, "use_bias")
         )
 
-    def __init__(self, models: Sequence, user_rows: Sequence[int]):
-        super().__init__(models, user_rows)
+    def __init__(self, models: Sequence, user_rows: Sequence[int],
+                 item_rows: Optional[Sequence[np.ndarray]] = None):
+        super().__init__(models, user_rows, item_rows)
         self.use_bias = models[0].use_bias
         if self.use_bias:
-            self.user_bias = self._add_vector("user_bias", models, user_rows)
-            self.item_bias = self._add_vector("item_bias", models, None)
-        self.user_emb = self._add_embedding("user_embedding", models, user_rows)
-        self.item_emb = self._add_embedding("item_embedding", models, None)
+            self.user_bias = self._add_vector("user_bias", models, "user")
+            self.item_bias = self._add_vector("item_bias", models, "item")
+        self.user_emb = self._add_embedding("user_embedding", models, "user")
+        self.item_emb = self._add_embedding("item_embedding", models, "item")
 
     def forward(self, items: np.ndarray, training: bool = True) -> Tensor:
         cohort_index = self._cohort_index(items.shape)
@@ -449,10 +488,11 @@ class StackedMetaMF(_StackedModelBase):
     def supports(model) -> bool:
         return hasattr(model, "item_base_embedding") and hasattr(model, "meta_hidden")
 
-    def __init__(self, models: Sequence, user_rows: Sequence[int]):
-        super().__init__(models, user_rows)
-        self.user_emb = self._add_embedding("user_embedding", models, user_rows)
-        self.item_base = self._add_embedding("item_base_embedding", models, None)
+    def __init__(self, models: Sequence, user_rows: Sequence[int],
+                 item_rows: Optional[Sequence[np.ndarray]] = None):
+        super().__init__(models, user_rows, item_rows)
+        self.user_emb = self._add_embedding("user_embedding", models, "user")
+        self.item_base = self._add_embedding("item_base_embedding", models, "item")
         self.meta_hidden = self._add_linear("meta_hidden", models)
         self.meta_output = self._add_linear("meta_output", models)
 
@@ -470,12 +510,18 @@ class StackedMetaMF(_StackedModelBase):
 _STACKED_ARCHITECTURES = (StackedNeuMF, StackedMF, StackedMetaMF)
 
 
-def stack_models(models: Sequence, user_rows: Sequence[int]):
+def stack_models(models: Sequence, user_rows: Sequence[int],
+                 item_rows: Optional[Sequence[np.ndarray]] = None):
     """Stack a homogeneous cohort of models, or ``None`` if unsupported.
 
     ``user_rows[c]`` names the single user-table row client ``c`` trains;
     PTF client models hold exactly one user row, so callers pass zeros, and
     the FedAvg baselines pass each client's user id into the shared tables.
+    ``item_rows[c]``, when given, holds the sorted item ids client ``c``
+    trains: every item-indexed table is then stacked row-compact (kind
+    ``"items"``) and forwards take local item indices
+    (:meth:`ClientTrainingPlan.localized`).  Only plain-SGD cohorts may
+    compact (see the module docstring).
     Dispatch is duck-typed so this module never has to import the model
     classes (which would close an import cycle through the protocol code).
     The shared cohort scorer reuses the same ``supports`` predicates to
@@ -488,7 +534,7 @@ def stack_models(models: Sequence, user_rows: Sequence[int]):
     first = models[0]
     for architecture in _STACKED_ARCHITECTURES:
         if architecture.supports(first):
-            return architecture(models, user_rows)
+            return architecture(models, user_rows, item_rows)
     return None
 
 

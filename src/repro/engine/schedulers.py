@@ -29,6 +29,15 @@ cohorts of 10k–1M clients stream through a fixed envelope:
     client's touched set receives exactly zero gradient, so its delta is
     ``+0.0`` and skipping its accumulation changes no aggregate.
 
+The batched FedAvg path relies on the same argument for both payload
+formats.  It trains each client's touched item rows only (row-compact
+stacking, see :mod:`repro.engine.batch`), cuts every client's public
+delta down to those rows plus the dense blocks, and folds a whole shard
+into the round accumulators with one ``np.add.at`` per public parameter,
+ordered by cohort position so each entry receives the serial additions
+in the serial order.  The formats differ only in whether touched stats
+are recorded.
+
 Per-client touched-row statistics flow back to the drivers through the
 :meth:`Scheduler.pop_touched` side-channel so the communication ledger can
 meter sparse uploads faithfully.
@@ -36,6 +45,7 @@ meter sparse uploads faithfully.
 
 from __future__ import annotations
 
+import math
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 # repro: disable=backend-purity -- cohort index bookkeeping and aggregation buffers
@@ -72,15 +82,15 @@ def create_scheduler(spec: Optional[EngineSpec] = None) -> "Scheduler":
 def _group_plans(
     plans: Sequence[Tuple[int, ClientTrainingPlan]],
 ) -> List[List[Tuple[int, ClientTrainingPlan]]]:
-    """Group (user, plan) pairs by batch signature.
+    """Group (key, plan) pairs — a user or a cohort position — by batch signature.
 
     The caller passes one shard, so ``EngineSpec.shard_size`` bounds every
     group.  Clients are independent, so grouping only changes how much
     work is stacked together — never any result.
     """
     buckets: Dict[tuple, List[Tuple[int, ClientTrainingPlan]]] = {}
-    for user, plan in plans:
-        buckets.setdefault(plan.signature, []).append((user, plan))
+    for key, plan in plans:
+        buckets.setdefault(plan.signature, []).append((key, plan))
     return list(buckets.values())
 
 
@@ -91,7 +101,7 @@ def _payload_format(driver) -> str:
 
 def _row_width(array: np.ndarray) -> int:
     """Values per axis-0 row (1 for vector parameters)."""
-    return int(np.prod(array.shape[1:], dtype=np.int64)) if array.ndim > 1 else 1
+    return math.prod(array.shape[1:])
 
 
 def _zero_touched(global_state: Dict[str, np.ndarray]) -> Dict[str, Tuple[int, int]]:
@@ -328,14 +338,16 @@ class BatchedScheduler(Scheduler):
                 driver, selected, round_index, global_state
             )
         sparse = _payload_format(driver) == "sparse"
-        item_rows = set(driver._item_row_parameter_names()) if sparse else set()
+        item_rows = set(driver._item_row_parameter_names())
+        # (rows, values per row) each public parameter ships in full.
+        full_stats = {name: (value.shape[0], _row_width(value))
+                      for name, value in global_state.items()}
 
         # Honor the global_state argument (don't rely on driver.model already
         # carrying it): every client must start from these public values.
         from repro.federated.base import load_public_state
 
         load_public_state(model, public_names, global_state)
-        named = dict(model.named_parameters())
 
         losses: Dict[int, float] = {}
         delta_sum = {name: np.zeros_like(value) for name, value in global_state.items()}
@@ -345,22 +357,26 @@ class BatchedScheduler(Scheduler):
         # so each shard takes exactly its own plans, built shard by shard.
         plans = driver.local_training_plans(selected, round_index)
         for shard in self.iter_shards(selected):
-            pending: List[Tuple[int, ClientTrainingPlan]] = []
-            for user, plan in zip(shard, plans):
+            pending: List[Tuple[int, ClientTrainingPlan]] = []  # (position, plan)
+            for position, (user, plan) in enumerate(zip(shard, plans)):
                 if plan is None:
                     losses[user] = 0.0
                     if sparse:
                         self._touched[user] = _zero_touched(global_state)
                 else:
-                    pending.append((user, plan))
+                    pending.append((position, plan))
 
-            # Per-client payloads live only for the duration of the shard:
-            # full-table dicts on the dense path, rows-touched SparseDeltas
-            # on the sparse path — either way bounded by shard size.
-            shard_deltas: Dict[int, dict] = {}
+            # Every client's public deltas as (cohort position, global row,
+            # row delta) pieces, folded once per shard below.
+            pieces: Dict[str, List[Tuple[np.ndarray, ...]]] = {
+                name: [] for name in global_state
+            }
             for group in _group_plans(pending):
-                users = [user for user, _ in group]
-                stacked = stack_models([model] * len(users), user_rows=users)
+                owners = np.array([position for position, _ in group])
+                users = [shard[position] for position in owners]
+                touched, local_plans = zip(*(plan.localized() for _, plan in group))
+                stacked = stack_models([model] * len(users), user_rows=users,
+                                       item_rows=touched)
                 if stacked is None:
                     return super().train_fedavg_clients(
                         driver, selected, round_index, global_state
@@ -368,73 +384,89 @@ class BatchedScheduler(Scheduler):
                 optimizer = StackedSGD(
                     stacked.parameters(), lr=driver.spec.protocol.local_learning_rate
                 )
-                batch = ClientBatch(stacked, optimizer, [plan for _, plan in group])
-                group_losses = batch.run()
-                for c, (user, plan) in enumerate(group):
+                group_losses = ClientBatch(stacked, optimizer, local_plans).run()
+                counts = np.array([rows.size for rows in touched])
+                for c, user in enumerate(users):
                     losses[user] = float(group_losses[c])
                     if sparse:
-                        payloads: Dict[str, SparseDelta] = {}
-                        touched = plan.touched_items()
-                        for name, parameter, kind in stacked.entries:
-                            values = (
-                                parameter.data[c, 0] if kind == "bias"
-                                else parameter.data[c]
-                            )
-                            if name not in public_names:
-                                # Each client touches only its own user row,
-                                # so writing the trained rows back into the
-                                # shared model reproduces the serial
-                                # sequential updates exactly (disjoint rows).
-                                assert kind == "rows"
-                                named[name].data[user] = values[0]
-                                continue
-                            if name in item_rows:
-                                payloads[name] = SparseDelta.between(
-                                    values, global_state[name], rows=touched
-                                )
-                            else:
-                                payloads[name] = SparseDelta.dense_block(
-                                    values - global_state[name]
-                                )
-                        shard_deltas[user] = payloads
-                        self._touched[user] = _touched_stats(payloads)
-                    else:
-                        values = stacked.export_slice(c)
-                        shard_deltas[user] = {
-                            name: values[name] - global_state[name]
-                            for name in public_names
+                        self._touched[user] = {
+                            name: (int(counts[c]), width) if name in item_rows
+                            else (rows, width)
+                            for name, (rows, width) in full_stats.items()
                         }
-                        for name, _, kind in stacked.entries:
-                            if name in public_names:
-                                continue
-                            assert kind == "rows"
-                            named[name].data[user] = values[name][0]
-                for attr, embedding in stacked.embeddings.items():
-                    table = getattr(model, attr)
-                    name = f"{attr}.weight"
-                    kind = next(k for n, _, k in stacked.entries if n == name)
-                    if kind == "rows":
-                        for c, user in enumerate(users):
-                            table.update_counts[user] += embedding.count_increments[c, 0]
-                    else:
-                        table.update_counts += embedding.count_increments.sum(axis=0)
+                _collect_group_deltas(model, stacked, owners, touched, counts,
+                                      global_state, pieces)
                 model.train()
 
-            # Aggregate the shard's public deltas in cohort order (float
-            # addition is not associative; the serial loop's order is the
-            # reference, and contiguous shards preserve it globally).
-            for user in shard:
-                user_deltas = shard_deltas.get(user)
-                if user_deltas is None:
-                    continue  # zero-interaction client: exact zero contribution
-                if sparse:
-                    _accumulate_sparse(user_deltas, delta_sum, update_count)
-                else:
-                    for name in delta_sum:
-                        delta = user_deltas[name]
-                        delta_sum[name] += delta
-                        update_count[name] += (delta != 0.0)
+            # Fold the shard in cohort order (float addition is not
+            # associative; the serial loop's order is the reference, and
+            # contiguous shards preserve it globally).
+            for name, parts in pieces.items():
+                if parts:
+                    _fold_in_cohort_order(parts, delta_sum[name], update_count[name])
         return losses, delta_sum, update_count
+
+
+def _collect_group_deltas(model, stacked, owners, touched, counts, global_state,
+                          pieces) -> None:
+    """Cut one trained group into per-row public deltas; write back the rest.
+
+    A client's item-table delta is ``compact[c, :R_c] - base[touched_c]``;
+    rows outside ``touched_c`` kept their base value, so their delta is
+    ``+0.0`` and adding it would change no accumulator.  Dense blocks
+    (meta-network weights, biases) contribute every row.  Private user
+    rows and the embeddings' update counts go straight back into
+    ``model``.
+    """
+    valid = np.arange(int(counts.max())) < counts[:, None]
+    item_rows = np.concatenate(touched)
+    named = dict(model.named_parameters())
+    for name, parameter, kind in stacked.entries:
+        if name not in global_state:
+            # Each client touches only its own user row, so writing the
+            # trained rows back into the shared model reproduces the serial
+            # sequential updates exactly (disjoint rows).
+            assert kind == "rows"
+            named[name].data[stacked.user_rows] = parameter.data[:, 0]
+            continue
+        base = global_state[name]
+        if kind == "items":
+            pieces[name].append((np.repeat(owners, counts), item_rows,
+                                 parameter.data[valid] - base[item_rows]))
+        else:
+            values = parameter.data[:, 0] if kind == "bias" else parameter.data
+            pieces[name].append((
+                np.repeat(owners, base.shape[0]),
+                np.tile(np.arange(base.shape[0]), len(owners)),
+                (values - base).reshape((-1,) + base.shape[1:]),
+            ))
+    for attr, embedding in stacked.embeddings.items():
+        if embedding.kind == "rows":
+            rows, increments = stacked.user_rows, embedding.count_increments[:, 0]
+        else:
+            assert embedding.kind == "items"
+            rows, increments = item_rows, embedding.count_increments[valid]
+        np.add.at(getattr(model, attr).update_counts, rows, increments)
+
+
+def _fold_in_cohort_order(parts, delta_sum: np.ndarray, update_count: np.ndarray) -> None:
+    """Add a shard's ``(owner, row, delta)`` pieces into the accumulators.
+
+    ``np.add.at`` applies its indices in sequence, so sorting the pieces by
+    cohort position (stably) gives every row its additions in the serial
+    cohort order, whatever order the signature groups ran in.  The scatter
+    runs on flat element indices, NumPy's fast 1-D path; the accumulators
+    are freshly allocated, contiguous arrays, so ``reshape(-1)`` is a view.
+    """
+    owners = np.concatenate([owner for owner, _, _ in parts])
+    order = np.argsort(owners, kind="stable")
+    rows = np.concatenate([row for _, row, _ in parts])[order]
+    deltas = np.concatenate([delta for _, _, delta in parts])[order]
+    width = _row_width(delta_sum)
+    flat = (rows[:, None] * width + np.arange(width)).reshape(-1)
+    deltas = deltas.reshape(-1)
+    np.add.at(delta_sum.reshape(-1), flat, deltas)
+    np.add.at(update_count.reshape(-1), flat, (deltas != 0.0).astype(update_count.dtype))
 
 
 def _private_params_are_user_rows(model, public_names, num_users) -> bool:

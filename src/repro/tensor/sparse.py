@@ -40,6 +40,15 @@ import numpy as np
 __all__ = ["SparseDelta"]
 
 
+def _sorted_unique(rows) -> np.ndarray:
+    """``rows`` as sorted unique int64 ids, skipping ``np.unique`` when they
+    already are (``ClientTrainingPlan.touched_items`` output, for one)."""
+    rows = np.asarray(rows, dtype=np.int64).reshape(-1)
+    if rows.size > 1 and not (rows[1:] > rows[:-1]).all():
+        rows = np.unique(rows)
+    return rows
+
+
 class SparseDelta:
     """A rows-touched view of a dense parameter delta.
 
@@ -102,7 +111,7 @@ class SparseDelta:
             flat = dense.reshape(dense.shape[0], -1) if dense.ndim > 1 else dense[:, None]
             rows = np.flatnonzero(np.any(flat != 0, axis=1))
         else:
-            rows = np.unique(np.asarray(rows, dtype=np.int64))
+            rows = _sorted_unique(rows)
         return cls(dense.shape, rows, dense[rows].copy())
 
     @classmethod
@@ -130,7 +139,7 @@ class SparseDelta:
             )
         if rows is None:
             return cls.dense_block(updated - base)
-        rows = np.unique(np.asarray(rows, dtype=np.int64))
+        rows = _sorted_unique(rows)
         return cls(updated.shape, rows, updated[rows] - base[rows])
 
     # ------------------------------------------------------------------

@@ -18,7 +18,8 @@ import pytest
 import repro
 from repro.artifacts import CheckpointEveryK
 from repro.data import debug_dataset
-from repro.engine import EngineSpec, PAYLOAD_FORMATS
+from repro.data.dataset import InteractionDataset
+from repro.engine import EngineSpec, PAYLOAD_FORMATS, stack_models
 from repro.experiments.registry import available_trainers, get_trainer
 from repro.experiments.result import RunResult
 from repro.experiments.spec import ExperimentSpec
@@ -174,6 +175,98 @@ class TestSparseShardedIdentity:
         assert dense.keys() == sparse.keys()
         for name in dense:
             np.testing.assert_array_equal(dense[name], sparse[name], err_msg=name)
+
+
+# ----------------------------------------------------------------------
+# Row-compact stacking: one client phase, batched vs serial, == everywhere
+# ----------------------------------------------------------------------
+COMPACT_USERS = 10
+COMPACT_ITEMS = 40
+COMPACT_TRAINERS = {"fcf": FCF, "fedmf": FedMF, "metamf": MetaMF}
+
+
+def _compact_dataset():
+    """Nine users on a 40-item catalogue, and user 9 with no training
+    positives.  Users 1, 4 and 7 have four positives, the rest three, so
+    two batch signatures interleave in cohort order.  Negatives collide
+    often enough that touched-row counts differ within a signature, and
+    every user shares positives 0 and 1, so those rows sum nine deltas."""
+    train = [(user, item) for user in range(COMPACT_USERS - 1)
+             for item in [0, 1, 2 + user, 20 + user][:3 + (user % 3 == 1)]]
+    return InteractionDataset(COMPACT_USERS, COMPACT_ITEMS, train,
+                              test_pairs=[(COMPACT_USERS - 1, 0)], name="compact")
+
+
+def _client_phase(trainer, scheduler, payload, shard_size):
+    dataset = _compact_dataset()
+    spec = ExperimentSpec(
+        trainer=trainer, seed=5,
+        protocol={"client_local_epochs": 2},
+        engine={"scheduler": scheduler, "payload": payload, "shard_size": shard_size},
+    )
+    driver = COMPACT_TRAINERS[trainer](dataset, spec)
+    losses, delta_sum, update_count = driver.engine.train_fedavg_clients(
+        driver, list(range(COMPACT_USERS)), 0, driver._public_state()
+    )
+    model = driver.model
+    return {
+        "driver": driver,
+        "losses": losses,
+        "delta_sum": delta_sum,
+        "update_count": update_count,
+        "item_counts": model.item_update_counts(),
+        "user_counts": model.user_embedding.update_counts.copy(),
+        "user_rows": model.user_embedding.weight.data.copy(),
+        "touched": driver.engine.pop_touched(),
+    }
+
+
+class TestRowCompactStacking:
+    @pytest.mark.parametrize("shard_size", [0, 3])
+    @pytest.mark.parametrize("payload", PAYLOAD_FORMATS)
+    @pytest.mark.parametrize("trainer", sorted(COMPACT_TRAINERS))
+    def test_batched_client_phase_equals_serial(self, trainer, payload, shard_size,
+                                                monkeypatch):
+        import repro.engine.schedulers as schedulers
+
+        stacked_models = []
+
+        def recording_stack_models(*args, **kwargs):
+            stacked = stack_models(*args, **kwargs)
+            stacked_models.append(stacked)
+            return stacked
+
+        monkeypatch.setattr(schedulers, "stack_models", recording_stack_models)
+        serial = _client_phase(trainer, "serial", payload, shard_size)
+        batched = _client_phase(trainer, "batched", payload, shard_size)
+
+        assert batched["losses"] == serial["losses"]
+        assert batched["losses"][COMPACT_USERS - 1] == 0.0
+        for key in ("delta_sum", "update_count"):
+            assert batched[key].keys() == serial[key].keys()
+            for name in serial[key]:
+                assert np.array_equal(batched[key][name], serial[key][name]), (key, name)
+        for key in ("item_counts", "user_counts", "user_rows"):
+            assert np.array_equal(batched[key], serial[key]), key
+        assert batched["touched"] == serial["touched"]
+        assert bool(batched["touched"]) == (payload == "sparse")
+
+        # The item table is stacked as each client's touched rows, padded to
+        # the group's widest client — never the whole catalogue.
+        driver = batched["driver"]
+        item_table = driver._item_row_parameter_names()[0]
+        ragged = False
+        for stacked in stacked_models:
+            counts = [rows.size for rows in stacked.item_rows]
+            ragged |= len(set(counts)) > 1
+            (data,) = [p.data for name, p, kind in stacked.entries
+                       if name == item_table and kind == "items"]
+            assert data.shape == (stacked.cohort, max(counts),
+                                  driver.spec.model.embedding_dim)
+            assert max(counts) < COMPACT_ITEMS
+        assert ragged, "no group stacked clients of different widths"
+        if shard_size == 0:
+            assert sorted(stacked.cohort for stacked in stacked_models) == [3, 6]
 
 
 # ----------------------------------------------------------------------

@@ -116,6 +116,32 @@ class TestSparseDeltaRoundTrips:
         assert delta.indices.tolist() == [1, 4]
         assert np.array_equal(delta.values, dense[[1, 4]])
 
+    def test_between_unsorted_or_duplicate_rows_equal_sorted_unique(self, rng):
+        for _ in range(30):
+            base, touched = _random_case(rng)
+            updated = base + rng.normal(size=base.shape)
+            canonical = SparseDelta.between(updated, base, rows=np.sort(touched))
+            shuffled = rng.permutation(np.concatenate([touched, touched[:3]]))
+            assert SparseDelta.between(updated, base, rows=shuffled) == canonical
+            assert SparseDelta.from_dense(updated, rows=shuffled) == (
+                SparseDelta.from_dense(updated, rows=np.sort(touched))
+            )
+
+    def test_sorted_unique_rows_skip_deduplication(self, monkeypatch):
+        """Plan-touched rows arrive sorted and unique; encoding them must
+        not pay for a second ``np.unique``, and validation still runs."""
+        def refuse(*args, **kwargs):
+            raise AssertionError("np.unique called on sorted unique rows")
+
+        base = np.zeros((6, 2))
+        updated = np.arange(12, dtype=float).reshape(6, 2)
+        monkeypatch.setattr(np, "unique", refuse)
+        delta = SparseDelta.between(updated, base, rows=np.array([0, 2, 5]))
+        assert delta.indices.tolist() == [0, 2, 5]
+        assert np.array_equal(delta.values, updated[[0, 2, 5]])
+        with pytest.raises(ValueError, match="out of range"):
+            SparseDelta.between(updated, base, rows=np.array([-1, 2]))
+
 
 class TestSparseDeltaEdgeCases:
     def test_empty_rows_payload(self):
